@@ -9,8 +9,8 @@ profile and co-authorship network statistics per release and subsystem.
 __version__ = "0.1.0"
 
 from .doa import (AuthorshipMap, DevScore, DoaThresholds, DoaWeights, FileAuthorship,
-                  FileDevCounters, author_proportion, authors_of, compute_authorship,
-                  doa_absolute, doa_normalized)
+                  FileDevCounters, author_proportion, compute_authorship, doa_absolute,
+                  score_file)
 from .errors import (AuthormineError, BoundaryNotFoundError, ConfigError,
                      LogParseError, LogSchemaError)
 from .ingest import (ChangeKind, CommitRecord, DeveloperId, FileChange, ReleaseTag,
@@ -18,12 +18,11 @@ from .ingest import (ChangeKind, CommitRecord, DeveloperId, FileChange, ReleaseT
                      parse_commit_log, resolve_aliases)
 from .network import (CoauthorGraph, assortativity, build_graph, clustering_avg_local,
                       clustering_global, mean_degree, solitary_authors)
-from .profiles import (AuthorProfile, ProfileBreakdown, ProfileKind, classify_author,
-                       profile_proportions)
+from .profiles import ProfileBreakdown, author_subsystems, profile_proportions
 from .snapshot import FileCounters, ReleaseSnapshot, iter_snapshots, snapshot_at
-from .subsystems import (SubsystemRules, classify, default_rules, load_rules, make_rules,
+from .subsystems import (SubsystemRules, default_rules, load_rules, make_rules,
                          scope_partition, subsystem_sizes)
-from .workload import (AuthorRank, Fences, TopKShare, adjusted_fences, files_per_author,
-                       gini, medcouple, outliers, quantile, top_k_share)
+from .workload import (AuthorRank, Fences, TopKShare, adjusted_fences, author_file_counts,
+                       files_per_author, gini, medcouple, outliers, quantile, top_k_share)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

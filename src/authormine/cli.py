@@ -14,18 +14,18 @@ from pathlib import Path
 from typing import Iterator
 
 from . import __version__
-from .doa import DoaThresholds, DoaWeights, compute_authorship
+from .doa import DoaThresholds, DoaWeights, score_file
 from .errors import AuthormineError, ConfigError
 from .ingest import (AliasMap, ReleaseTag, apply_path_filters, load_alias_map,
                      load_releases, parse_commit_log, resolve_aliases)
-from .network import build_graph
 from .patterns import PathMatcher
 from .reports import (AUTHORSHIP_HEADER, EDGES_HEADER, NETWORK_HEADER,
                       PROFILES_HEADER, WORKLOAD_HEADER, build_manifest, edge_rows,
-                      fmt_float, release_report, scope_name, sha256_file, write_csv,
+                      fmt_float, network_row, release_graphs, release_report,
+                      release_workload, scope_name, sha256_file, write_csv,
                       write_json_mirror, write_manifest, write_pajek)
 from .snapshot import ReleaseSnapshot, iter_snapshots
-from .subsystems import SubsystemRules, default_rules, load_rules, scope_partition
+from .subsystems import SubsystemRules, default_rules, load_rules
 
 logger = logging.getLogger(__name__)
 
@@ -194,36 +194,36 @@ def _find_release(config: RunConfig, name: str) -> ReleaseTag:
     raise AuthormineError(f"unknown release {name!r} (not in {config.releases_path})")
 
 
+def _releases(config: RunConfig, release_name: "str | None") -> list[ReleaseTag]:
+    """The releases a query covers: all of them, or just the named one."""
+    if release_name is None:
+        return config.releases
+    return [_find_release(config, release_name)]
+
+
 def cmd_authors(config: RunConfig, file_path: str, release_name: str) -> int:
     config.validate()
     tag = _find_release(config, release_name)
     with _snapshot_stream(config, releases=[tag]) as snapshots:
         snap = next(snapshots)
-    authorship = compute_authorship(snap, config.thresholds)
-    try:
-        file_auth = authorship.for_path(file_path)
-    except KeyError:
-        raise AuthormineError(f"file {file_path!r} not live at {release_name}") from None
-    scores = [s for s in file_auth.scores if s.is_author]
-    scores.sort(key=lambda s: (-s.doa_norm, s.developer.email))
-    for s in scores:
+    fid = snap.live.get(file_path)
+    if fid is None:
+        raise AuthormineError(f"file {file_path!r} not live at {release_name}")
+    scores, _ = score_file(snap.counters_for(fid), config.thresholds)
+    authors = sorted((s for s in scores if s.is_author),
+                     key=lambda s: (-s.doa_norm, s.developer.email))
+    for s in authors:
         print(f"{s.developer.email},{fmt_float(s.doa_abs)},{fmt_float(s.doa_norm)}")
     return EXIT_OK
 
 
 def cmd_stats(config: RunConfig, release_name: "str | None") -> int:
     config.validate()
-    if release_name is not None:
-        _find_release(config, release_name)
+    releases = _releases(config, release_name)
     rows = []
-    with _snapshot_stream(config) as snapshots:
+    with _snapshot_stream(config, releases) as snapshots:
         for snap in snapshots:
-            if release_name is not None and snap.release.name != release_name:
-                continue
-            report = release_report(snap, config.rules, config.thresholds, DoaWeights())
-            rows.extend(report.workload_rows)
-            if release_name is not None:
-                break
+            rows.extend(release_workload(snap, config.rules, config.thresholds, DoaWeights()))
     write_csv(sys.stdout, WORKLOAD_HEADER, rows)
     return EXIT_OK
 
@@ -232,8 +232,7 @@ def cmd_network(config: RunConfig, release_name: "str | None",
                 scope: "str | None", edges_path: "Path | None",
                 graph_path: "Path | None") -> int:
     config.validate()
-    if release_name is not None:
-        _find_release(config, release_name)
+    releases = _releases(config, release_name)
     if (edges_path or graph_path) and release_name is None:
         raise ConfigError("--edges/--graph exports require --release")
     if scope is not None and scope != scope_name(None) \
@@ -241,25 +240,19 @@ def cmd_network(config: RunConfig, release_name: "str | None",
         raise ConfigError(f"unknown scope {scope!r}; expected one of "
                           f"{(scope_name(None),) + config.rules.labels}")
     rows = []
-    with _snapshot_stream(config) as snapshots:
+    with _snapshot_stream(config, releases) as snapshots:
         for snap in snapshots:
-            if release_name is not None and snap.release.name != release_name:
-                continue
-            report = release_report(snap, config.rules, config.thresholds, DoaWeights())
-            rows.extend(report.network_rows)
-            if release_name is not None and (edges_path or graph_path):
-                authorship = compute_authorship(snap, config.thresholds)
-                partition = scope_partition(snap, config.rules)
-                key = None if scope in (None, scope_name(None)) else scope
-                graph = build_graph(authorship, partition[key])
-                if edges_path:
-                    with open(edges_path, "w", encoding="utf-8", newline="") as fh:
-                        write_csv(fh, EDGES_HEADER, edge_rows(graph))
-                if graph_path:
-                    with open(graph_path, "w", encoding="utf-8", newline="\n") as fh:
-                        write_pajek(fh, graph)
-            if release_name is not None:
-                break
+            graphs = release_graphs(snap, config.rules, config.thresholds, DoaWeights())
+            rows.extend(network_row(snap.release.name, key, graph)
+                        for key, graph in graphs.items())
+    if edges_path or graph_path:  # --release is set, so `graphs` is that release's
+        graph = graphs[None if scope in (None, scope_name(None)) else scope]
+        if edges_path:
+            with open(edges_path, "w", encoding="utf-8", newline="") as fh:
+                write_csv(fh, EDGES_HEADER, edge_rows(graph))
+        if graph_path:
+            with open(graph_path, "w", encoding="utf-8", newline="\n") as fh:
+                write_pajek(fh, graph)
     write_csv(sys.stdout, NETWORK_HEADER, rows)
     return EXIT_OK
 

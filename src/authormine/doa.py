@@ -11,7 +11,11 @@ The normalized score divides by the file's maximum absolute score, so
 the strongest contributor(s) score exactly 1.0.  A developer is an
 author of a file when doa_norm > 0.75 and doa_abs >= 3.293 (strict
 inequality on the normalized floor, inclusive on the absolute floor).
-All weights and floors are configurable.
+
+`score_file` is the only place the rule is evaluated: it scores one
+file's counters, and `compute_authorship` applies it to every live file
+of a snapshot.  Floors and weights are parameters; the command line
+sets the floors and uses the default weights.
 """
 
 from __future__ import annotations
@@ -72,34 +76,6 @@ def doa_absolute(counters: FileDevCounters, weights: DoaWeights = DEFAULT_WEIGHT
             - weights.acceptance_log * math.log1p(counters.ac))
 
 
-def doa_normalized(developer: DeveloperId,
-                   counters: Mapping[DeveloperId, FileDevCounters],
-                   weights: DoaWeights = DEFAULT_WEIGHTS) -> float:
-    """Absolute score of `developer` divided by the file's maximum score."""
-    if developer not in counters:
-        raise ValueError(f"{developer.email} never changed this file")
-    peak = max(doa_absolute(c, weights) for c in counters.values())
-    if peak <= 0:
-        raise ValueError("maximum absolute score is not positive; "
-                         "normalization is undefined for these weights")
-    return doa_absolute(counters[developer], weights) / peak
-
-
-def authors_of(counters: Mapping[DeveloperId, FileDevCounters],
-               thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
-               weights: DoaWeights = DEFAULT_WEIGHTS) -> set[DeveloperId]:
-    """Developers passing both floors for a file with the given counters."""
-    if not counters:
-        raise ValueError("file has no commits")
-    scores = {dev: doa_absolute(c, weights) for dev, c in counters.items()}
-    peak = max(scores.values())
-    if peak <= 0:
-        raise ValueError("maximum absolute score is not positive")
-    return {dev for dev, score in scores.items()
-            if score / peak > thresholds.normalized_floor
-            and score >= thresholds.absolute_floor}
-
-
 @dataclass(frozen=True, slots=True)
 class DevScore:
     developer: DeveloperId
@@ -115,21 +91,44 @@ class DevScore:
 class FileAuthorship:
     fid: int
     path: str
-    scores: tuple[DevScore, ...]  # sorted by developer (email, name)
+    scores: tuple[DevScore, ...]  # sorted by developer email
     authors: frozenset[DeveloperId]
 
 
+def score_file(counters: Mapping[DeveloperId, FileDevCounters],
+               thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
+               weights: DoaWeights = DEFAULT_WEIGHTS,
+               ) -> tuple[tuple[DevScore, ...], frozenset[DeveloperId]]:
+    """Evaluate the scores and the author rule for one file's counters.
+
+    Returns one DevScore per developer, ordered by email, and the set of
+    developers passing both floors.
+    """
+    if not counters:
+        raise ValueError("file has no commits")
+    abs_scores = {dev: doa_absolute(c, weights) for dev, c in counters.items()}
+    peak = max(abs_scores.values())
+    if peak <= 0:
+        raise ValueError("maximum absolute score is not positive; "
+                         "normalization is undefined for these weights")
+    scores = []
+    authors = set()
+    for dev in sorted(counters, key=DeveloperId.sort_key):
+        c = counters[dev]
+        score = abs_scores[dev]
+        norm = score / peak
+        is_author = norm > thresholds.normalized_floor and score >= thresholds.absolute_floor
+        if is_author:
+            authors.add(dev)
+        scores.append(DevScore(dev, c.fa, c.dl, c.ac, score, norm, is_author))
+    return tuple(scores), frozenset(authors)
+
+
 class AuthorshipMap:
-    """Scores and author sets for every live file of one snapshot."""
+    """Scores and author sets for every live file of one snapshot, by file id."""
 
     def __init__(self, files: "dict[int, FileAuthorship]"):
         self.files = files
-        self._by_path = {fa.path: fa.fid for fa in files.values()}
-        by_dev: dict[DeveloperId, list[int]] = {}
-        for fa in files.values():
-            for dev in fa.authors:
-                by_dev.setdefault(dev, []).append(fa.fid)
-        self._authored_by = {dev: tuple(fids) for dev, fids in by_dev.items()}
 
     def __iter__(self) -> Iterator[FileAuthorship]:
         return iter(self.files.values())
@@ -137,47 +136,19 @@ class AuthorshipMap:
     def __len__(self) -> int:
         return len(self.files)
 
-    def authors_for(self, fid: int) -> frozenset[DeveloperId]:
-        return self.files[fid].authors
-
-    def for_path(self, path: str) -> FileAuthorship:
-        fid = self._by_path.get(path)
-        if fid is None:
-            raise KeyError(path)
-        return self.files[fid]
-
-    def authored_files(self, developer: DeveloperId) -> tuple[int, ...]:
-        return self._authored_by.get(developer, ())
-
-    @property
-    def all_authors(self) -> frozenset[DeveloperId]:
-        return frozenset(self._authored_by)
-
 
 def compute_authorship(snapshot: "ReleaseSnapshot",
                        thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
                        weights: DoaWeights = DEFAULT_WEIGHTS) -> AuthorshipMap:
-    """Evaluate scores and the author rule for every live file of a snapshot."""
+    """Score every live file of a snapshot, in path order."""
     files: dict[int, FileAuthorship] = {}
     for path in sorted(snapshot.live):
         fid = snapshot.live[path]
-        counters = snapshot.counters_for(fid)
-        abs_scores = {dev: doa_absolute(c, weights) for dev, c in counters.items()}
-        peak = max(abs_scores.values())
-        if peak <= 0:
-            raise ValueError(f"maximum absolute score for {path} is not positive; "
-                             "normalization is undefined for these weights")
-        scores = []
-        authors = set()
-        for dev in sorted(counters, key=DeveloperId.sort_key):
-            c = counters[dev]
-            score = abs_scores[dev]
-            norm = score / peak
-            is_author = norm > thresholds.normalized_floor and score >= thresholds.absolute_floor
-            if is_author:
-                authors.add(dev)
-            scores.append(DevScore(dev, c.fa, c.dl, c.ac, score, norm, is_author))
-        files[fid] = FileAuthorship(fid, path, tuple(scores), frozenset(authors))
+        try:
+            scores, authors = score_file(snapshot.counters_for(fid), thresholds, weights)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        files[fid] = FileAuthorship(fid, path, scores, authors)
     return AuthorshipMap(files)
 
 

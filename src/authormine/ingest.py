@@ -8,7 +8,9 @@ The expected input is one JSON object per line, oldest commit first:
 
 Unknown keys are ignored.  Merge commits must not be present in the
 stream (the exporter drops them); only commit authors are represented,
-committers are not part of the schema at all.
+committers are not part of the schema at all.  A developer is identified
+by email (see DeveloperId); `resolve_aliases` lowercases emails and
+merges different ones through the alias map.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import logging
 import posixpath
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import IO, Iterable, Iterator, Mapping, Union
 
@@ -29,13 +31,18 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, slots=True)
 class DeveloperId:
-    """Canonical developer identity; equality is on (name, email)."""
+    """Canonical developer identity: the email, which every output is keyed on.
 
-    name: str
+    Equality, hashing and ordering use the email only; the name is kept
+    for display, so one email committed under several names is one
+    developer.  Merging different emails is the alias map's job.
+    """
+
+    name: str = field(compare=False)
     email: str
 
-    def sort_key(self) -> tuple[str, str]:
-        return (self.email, self.name)
+    def sort_key(self) -> str:
+        return self.email
 
 
 class ChangeKind(Enum):
@@ -189,7 +196,7 @@ def resolve_aliases(records: Iterable[CommitRecord], alias_map: AliasMap,
             collisions.add(canonical.email)
             logger.warning(
                 "email %s is used with different names (%r, %r); "
-                "consider an alias map entry", canonical.email, known, canonical.name)
+                "they count as one developer", canonical.email, known, canonical.name)
         yield record if canonical is raw else replace(record, author=canonical)
 
 
@@ -199,7 +206,8 @@ def apply_path_filters(records: Iterable[CommitRecord],
     """Drop file changes matching any exclusion rule.
 
     A rename is removed when either its new or its old path matches.
-    Records left without changes are dropped entirely.
+    A record left without changes is still passed on, with no changes, so
+    that a release boundary on it still closes its release.
     """
     matcher = PathMatcher(exclusion_rules)
     if not matcher:
@@ -210,8 +218,6 @@ def apply_path_filters(records: Iterable[CommitRecord],
             ch for ch in record.changes
             if not (matcher.matches(ch.path)
                     or (ch.old_path is not None and matcher.matches(ch.old_path))))
-        if not kept:
-            continue
         if len(kept) == len(record.changes):
             yield record
         else:

@@ -1,45 +1,30 @@
-"""Specialist/generalist author profiles per subsystem."""
+"""Specialist/generalist author profiles per subsystem.
+
+An author is a specialist when every live file they author lies in one
+subsystem, and a generalist otherwise.  Each author's subsystem set is
+read once per release from the labels `scope_partition` assigned.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .doa import AuthorshipMap
 from .ingest import DeveloperId
-from .subsystems import SubsystemRules
+from .workload import AuthorCounts
 
 
-class ProfileKind(Enum):
-    SPECIALIST = "specialist"
-    GENERALIST = "generalist"
-
-
-@dataclass(frozen=True)
-class AuthorProfile:
-    developer: DeveloperId
-    subsystems: frozenset[str]
-    kind: ProfileKind
-
-
-def _subsystem_set(developer: DeveloperId, authorship: AuthorshipMap,
-                   rules: SubsystemRules) -> frozenset[str]:
-    fids = authorship.authored_files(developer)
-    return frozenset(rules.classify(authorship.files[fid].path) for fid in fids)
-
-
-def classify_author(developer: DeveloperId, authorship: AuthorshipMap,
-                    rules: SubsystemRules) -> AuthorProfile:
-    """Profile an author: specialist with one subsystem, generalist otherwise.
-
-    Raises ValueError for developers who author no live file; profiles
-    are defined for authors only.
-    """
-    labels = _subsystem_set(developer, authorship, rules)
-    if not labels:
-        raise ValueError(f"{developer.email} authors no live file")
-    kind = ProfileKind.SPECIALIST if len(labels) == 1 else ProfileKind.GENERALIST
-    return AuthorProfile(developer, labels, kind)
+def author_subsystems(authorship: AuthorshipMap, partition: "dict[str | None, list[int]]",
+                      ) -> dict[DeveloperId, set[str]]:
+    """Subsystem labels of each author's live files; the None (All) scope is skipped."""
+    labels: dict[DeveloperId, set[str]] = {}
+    for scope, fids in partition.items():
+        if scope is None:
+            continue
+        for fid in fids:
+            for dev in authorship.files[fid].authors:
+                labels.setdefault(dev, set()).add(scope)
+    return labels
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,23 +36,19 @@ class ProfileBreakdown:
     generalist_pct: float
 
 
-def profile_proportions(authorship: AuthorshipMap, rules: SubsystemRules,
-                        fids: "list[int]") -> ProfileBreakdown:
-    """Specialist/generalist split among the authors of the given files.
+def profile_proportions(counts: AuthorCounts,
+                        subsystems: "dict[DeveloperId, set[str]]") -> ProfileBreakdown:
+    """Specialist/generalist split among the authors of one scope.
 
-    Scope membership follows authored-file location, but each author's
-    kind is judged on their global subsystem set: an author who owns a
-    file here and files elsewhere is a generalist in this scope too.
+    Scope membership follows authored-file location (the keys of the
+    scope's author counts), but each author's kind is judged on their
+    release-wide subsystem set: an author who owns a file here and files
+    elsewhere is a generalist in this scope too.
     """
-    members: set[DeveloperId] = set()
-    for fid in fids:
-        members.update(authorship.files[fid].authors)
-    if not members:
+    if not counts:
         raise ValueError("scope has no authors")
-    specialists = sum(
-        1 for dev in members
-        if len(_subsystem_set(dev, authorship, rules)) == 1)
-    n = len(members)
+    specialists = sum(1 for dev in counts if len(subsystems[dev]) == 1)
+    n = len(counts)
     generalists = n - specialists
     return ProfileBreakdown(n, specialists, generalists,
                             100.0 * specialists / n, 100.0 * generalists / n)

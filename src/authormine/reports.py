@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .doa import AuthorshipMap, DoaThresholds, DoaWeights, compute_authorship
+from .ingest import DeveloperId
 from .network import (CoauthorGraph, assortativity, build_graph, clustering_avg_local,
                       clustering_global, mean_degree, solitary_authors)
-from .profiles import profile_proportions
+from .profiles import author_subsystems, profile_proportions
 from .snapshot import ReleaseSnapshot
 from .subsystems import SubsystemRules, scope_partition
-from .workload import (adjusted_fences, files_per_author, gini, medcouple, quantile,
-                       top_k_share)
+from .workload import (AuthorCounts, adjusted_fences, author_file_counts, files_per_author,
+                       gini, medcouple, quantile, top_k_share)
 
 SCOPE_ALL = "All"
 
@@ -64,17 +65,17 @@ def authorship_rows(release_name: str, authorship: AuthorshipMap) -> list[list[s
 
 
 def workload_row(release_name: str, scope: "str | None",
-                 authorship: AuthorshipMap, fids: "list[int]") -> list[str]:
-    sample = files_per_author(authorship, fids) if fids else []
+                 counts: AuthorCounts, n_files: int) -> list[str]:
+    sample = files_per_author(counts)
     n = len(sample)
     if n == 0:
         return [release_name, scope_name(scope), "0"] + ["NA"] * 11
     mc = fence_lo = fence_hi = None
     if n >= 3:
         mc = medcouple(sample)
-        fences = adjusted_fences(sample)
+        fences = adjusted_fences(sample, mc)
         fence_lo, fence_hi = fences.lower, fences.upper
-    top = top_k_share(authorship, fids, 10)
+    top = top_k_share(counts, n_files, 10)
     return [
         release_name, scope_name(scope), str(n),
         fmt_float(quantile(sample, 0.0)),
@@ -89,14 +90,11 @@ def workload_row(release_name: str, scope: "str | None",
     ]
 
 
-def profiles_row(release_name: str, scope: "str | None", authorship: AuthorshipMap,
-                 rules: SubsystemRules, fids: "list[int]") -> list[str]:
-    try:
-        breakdown = profile_proportions(authorship, rules, fids) if fids else None
-    except ValueError:
-        breakdown = None
-    if breakdown is None:
+def profiles_row(release_name: str, scope: "str | None", counts: AuthorCounts,
+                 subsystems: "dict[DeveloperId, set[str]]") -> list[str]:
+    if not counts:
         return [release_name, scope_name(scope), "0", "0", "0", "NA"]
+    breakdown = profile_proportions(counts, subsystems)
     return [
         release_name, scope_name(scope), str(breakdown.n_authors),
         str(breakdown.specialists), str(breakdown.generalists),
@@ -133,16 +131,36 @@ def release_report(snapshot: ReleaseSnapshot, rules: SubsystemRules,
     """All report rows for one release, scopes ordered All-first."""
     authorship = compute_authorship(snapshot, thresholds, weights)
     partition = scope_partition(snapshot, rules)
+    subsystems = author_subsystems(authorship, partition)
     name = snapshot.release.name
     workload_rows = []
     profile_rows = []
     network_rows = []
     for scope, fids in partition.items():
-        workload_rows.append(workload_row(name, scope, authorship, fids))
-        profile_rows.append(profiles_row(name, scope, authorship, rules, fids))
+        counts = author_file_counts(authorship, fids)
+        workload_rows.append(workload_row(name, scope, counts, len(fids)))
+        profile_rows.append(profiles_row(name, scope, counts, subsystems))
         network_rows.append(network_row(name, scope, build_graph(authorship, fids)))
     return ReleaseReport(name, authorship_rows(name, authorship),
                          workload_rows, profile_rows, network_rows)
+
+
+def release_workload(snapshot: ReleaseSnapshot, rules: SubsystemRules,
+                     thresholds: DoaThresholds, weights: DoaWeights) -> list[list[str]]:
+    """The workload rows of one release and nothing else, as `stats` prints them."""
+    authorship = compute_authorship(snapshot, thresholds, weights)
+    return [workload_row(snapshot.release.name, scope,
+                         author_file_counts(authorship, fids), len(fids))
+            for scope, fids in scope_partition(snapshot, rules).items()]
+
+
+def release_graphs(snapshot: ReleaseSnapshot, rules: SubsystemRules,
+                   thresholds: DoaThresholds, weights: DoaWeights,
+                   ) -> "dict[str | None, CoauthorGraph]":
+    """The co-authorship graph of each scope of one release, All first."""
+    authorship = compute_authorship(snapshot, thresholds, weights)
+    return {scope: build_graph(authorship, fids)
+            for scope, fids in scope_partition(snapshot, rules).items()}
 
 
 def edge_rows(graph: CoauthorGraph) -> list[list[str]]:

@@ -149,6 +149,8 @@ class _Accumulator:
         self._deliver(fid, dev, delivered)
 
     def feed(self, record: CommitRecord) -> None:
+        if not record.changes:  # every change excluded; only the commit id matters
+            return
         self.devs.add(record.author)
         delivered: set[int] = set()
         for change in record.changes:

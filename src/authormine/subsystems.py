@@ -36,10 +36,6 @@ class SubsystemRules:
         return self.fallback
 
 
-def classify(path: str, rules: SubsystemRules) -> str:
-    return rules.classify(path)
-
-
 def make_rules(pairs: "list[tuple[str, str]]", fallback: str) -> SubsystemRules:
     return SubsystemRules(
         tuple((PathRule.compile(pattern), label) for pattern, label in pairs),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -18,29 +18,24 @@ from .doa import AuthorshipMap
 from .ingest import DeveloperId
 
 WorkloadSample = Sequence[float]
+AuthorCounts = Mapping[DeveloperId, int]
 
 
-def files_per_author(authorship: AuthorshipMap, fids: "list[int]",
-                     include_zero_file_developers: bool = False) -> list[int]:
-    """Sorted authored-file counts, one entry per author in the scope.
-
-    With `include_zero_file_developers` the sample additionally carries a
-    zero for every developer who changed a scope file without authoring
-    any, which biases inequality measures toward the full developer
-    population.  An empty list signals a scope without authors.
-    """
+def author_file_counts(authorship: AuthorshipMap, fids: "list[int]",
+                       ) -> dict[DeveloperId, int]:
+    """Authored-file count per author among the given live files: the one
+    table that the workload and profile statistics of a scope read."""
     counts: dict[DeveloperId, int] = {}
-    changers: set[DeveloperId] = set()
     for fid in fids:
-        fa = authorship.files[fid]
-        changers.update(s.developer for s in fa.scores)
-        for dev in fa.authors:
+        for dev in authorship.files[fid].authors:
             counts[dev] = counts.get(dev, 0) + 1
-    sample = list(counts.values())
-    if include_zero_file_developers:
-        sample.extend(0 for _ in range(len(changers) - len(counts)))
-    sample.sort()
-    return sample
+    return counts
+
+
+def files_per_author(counts: AuthorCounts) -> list[int]:
+    """The workload sample: sorted authored-file counts, one per author.
+    An empty list signals a scope without authors."""
+    return sorted(counts.values())
 
 
 def quantile(sample: WorkloadSample, p: float) -> float:
@@ -98,8 +93,9 @@ class Fences:
     upper: float
 
 
-def adjusted_fences(sample: WorkloadSample, whisker: float = 1.5) -> Fences:
-    """Skew-adjusted boxplot fences.
+def adjusted_fences(sample: WorkloadSample, mc: float,
+                    whisker: float = 1.5) -> Fences:
+    """Skew-adjusted boxplot fences for a sample whose medcouple is `mc`.
 
     With medcouple MC >= 0 the whiskers are
     [Q1 - w*exp(-4*MC)*IQR, Q3 + w*exp(3*MC)*IQR]; for MC < 0 the
@@ -109,7 +105,6 @@ def adjusted_fences(sample: WorkloadSample, whisker: float = 1.5) -> Fences:
     q1 = quantile(sample, 0.25)
     q3 = quantile(sample, 0.75)
     iqr = q3 - q1
-    mc = medcouple(sample)
     if mc >= 0:
         return Fences(q1 - whisker * math.exp(-4.0 * mc) * iqr,
                       q3 + whisker * math.exp(3.0 * mc) * iqr)
@@ -165,18 +160,14 @@ class TopKShare:
     truncated: bool
 
 
-def top_k_share(authorship: AuthorshipMap, fids: "list[int]", k: int) -> TopKShare:
+def top_k_share(counts: AuthorCounts, n_files: int, k: int) -> TopKShare:
+    """Top-k of a scope's author counts, as shares of its `n_files` live files."""
     if k < 1:
         raise ValueError("k must be positive")
-    if not fids:
+    if n_files < 1:
         raise ValueError("scope contains no live files")
-    counts: dict[DeveloperId, int] = {}
-    for fid in fids:
-        for dev in authorship.files[fid].authors:
-            counts[dev] = counts.get(dev, 0) + 1
-    total = len(fids)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0].sort_key()))
-    ranks = tuple(AuthorRank(dev, n, n / total) for dev, n in ranked[:k])
+    ranks = tuple(AuthorRank(dev, n, n / n_files) for dev, n in ranked[:k])
     if not ranks:
         return TopKShare((), None, None, k, True)
     top1 = ranks[0].share

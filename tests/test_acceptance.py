@@ -11,11 +11,11 @@ from contextlib import contextmanager
 import pytest
 
 from authormine import (DoaThresholds, DoaWeights, FileDevCounters, ReleaseTag,
-                        assortativity, authors_of, clustering_avg_local,
-                        clustering_global, compute_authorship, doa_absolute,
-                        doa_normalized, gini, iter_snapshots, make_rules, mean_degree,
-                        medcouple, profile_proportions, scope_partition, snapshot_at,
-                        solitary_authors, default_rules)
+                        assortativity, author_file_counts, author_subsystems,
+                        clustering_avg_local, clustering_global, compute_authorship,
+                        doa_absolute, gini, iter_snapshots, make_rules, mean_degree,
+                        medcouple, profile_proportions, scope_partition, score_file,
+                        snapshot_at, solitary_authors, default_rules)
 from authormine.cli import main
 import oracles
 from conftest import GOLDEN_DIR
@@ -52,6 +52,10 @@ def test_criterion_1_doa_unit_vector():
 
 def test_criterion_2_author_rule_boundaries():
     with criterion(2, "author-rule boundary semantics"):
+        def verdict(counters, thresholds=DoaThresholds(), weights=DoaWeights()):
+            scores, authors = score_file(counters, thresholds, weights)
+            return {s.developer: s.doa_norm for s in scores}, authors
+
         # normalized score exactly 0.75 is NOT enough (strict floor);
         # weights engineered to make the ratio exact in floating point
         weights = DoaWeights(base=1.0, first_author=0.0, delivery=1.0,
@@ -59,24 +63,27 @@ def test_criterion_2_author_rule_boundaries():
         counters = {dev(1): FileDevCounters(1, 3, 2),
                     dev(2): FileDevCounters(0, 2, 3)}
         thresholds = DoaThresholds(normalized_floor=0.75, absolute_floor=3.0)
-        assert doa_normalized(dev(2), counters, weights) == 0.75
+        norms, authors = verdict(counters, thresholds, weights)
+        assert norms[dev(2)] == 0.75
         assert doa_absolute(counters[dev(2)], weights) >= thresholds.absolute_floor
-        assert dev(2) not in authors_of(counters, thresholds, weights)
+        assert dev(2) not in authors
 
         # absolute score exactly 3.293 with normalized > 0.75 IS an author
         # (default weights: FA=DL=AC=0 hits the base constant exactly)
         at_floor = {dev(1): FileDevCounters(0, 0, 0),
                     dev(2): FileDevCounters(0, 0, 0)}
+        norms, authors = verdict(at_floor)
         assert doa_absolute(at_floor[dev(2)]) == 3.293
-        assert doa_normalized(dev(2), at_floor) > 0.75
-        assert dev(2) in authors_of(at_floor)
+        assert norms[dev(2)] > 0.75
+        assert dev(2) in authors
 
         # conjunction: high normalized score cannot rescue a sub-floor absolute
         mixed = {dev(1): FileDevCounters(0, 1, 0),
                  dev(2): FileDevCounters(0, 0, 1)}
-        assert doa_normalized(dev(2), mixed) > 0.75
+        norms, authors = verdict(mixed)
+        assert norms[dev(2)] > 0.75
         assert doa_absolute(mixed[dev(2)]) < 3.293
-        assert dev(2) not in authors_of(mixed)
+        assert dev(2) not in authors
 
 
 def test_criterion_3_replay_oracle_equivalence():
@@ -183,14 +190,19 @@ def test_criterion_7_profile_partition_property():
                 continue
             authorship = compute_authorship(snap)
             partition = scope_partition(snap, rules)
+            subsystems = author_subsystems(authorship, partition)
             for fids in partition.values():
                 if not fids:
                     continue
-                result = profile_proportions(authorship, rules, fids)
+                result = profile_proportions(author_file_counts(authorship, fids),
+                                             subsystems)
                 assert result.specialists + result.generalists == result.n_authors
                 assert abs(result.specialist_pct + result.generalist_pct
                            - 100.0) <= 1e-9
-            merged_result = profile_proportions(authorship, merged, partition[None])
+            merged_partition = scope_partition(snap, merged)
+            merged_result = profile_proportions(
+                author_file_counts(authorship, merged_partition[None]),
+                author_subsystems(authorship, merged_partition))
             assert merged_result.specialist_pct == 100.0
             assert merged_result.generalists == 0
             checked += 1

@@ -74,6 +74,27 @@ class TestAnalyze:
         assert not any(out.glob("*.csv"))
         assert not (out / "manifest.json").exists()
 
+    def test_boundary_emptied_by_exclusion_closes_release(self, tmp_path):
+        log = tmp_path / "log.ndjson"
+        log.write_text("".join(json.dumps(
+            {"id": cid, "an": name, "ae": f"{name.lower()}@x.org", "ts": ts, "ch": ch}) + "\n"
+            for cid, name, ts, ch in [
+                ("c1", "Ann", 1, [["A", "kernel/a.c"]]),
+                ("c2", "Bob", 2, [["M", "kernel/a.c"]]),
+                ("c3", "Cat", 3, [["A", "firmware/blob.bin"]]),
+            ]))
+        releases = tmp_path / "releases.txt"
+        releases.write_text("r1 c1\nr2 c3\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--log", str(log), "--releases", str(releases),
+                     "--exclude", "firmware/", "-o", str(out)]) == 0
+        rows = (out / "authorship.csv").read_text().splitlines()
+        assert [row.split(",")[:6] for row in rows[1:]] == [
+            ["r1", "kernel/a.c", "ann@x.org", "1", "1", "0"],
+            ["r2", "kernel/a.c", "ann@x.org", "1", "1", "1"],
+            ["r2", "kernel/a.c", "bob@x.org", "0", "1", "1"],
+        ]
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
         monkeypatch.setenv("AUTHORMINE_OUTPUT_DIR", str(target))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from authormine import (DoaThresholds, DoaWeights, FileDevCounters, ReleaseTag,
-                        author_proportion, authors_of, compute_authorship,
-                        doa_absolute, doa_normalized, snapshot_at)
+                        author_file_counts, author_proportion, compute_authorship,
+                        doa_absolute, score_file, snapshot_at)
 import oracles
 from helpers import (assert_views_match, dev, engine_view, make_record,
                      records_from_oracle)
@@ -57,38 +57,45 @@ def two_dev_counters(dl1, ac1, dl2, ac2):
             dev(2): FileDevCounters(0, dl2, ac2)}
 
 
+def norms(counters, weights=DoaWeights()):
+    """Normalized score per developer, as the scoring kernel reports it."""
+    scores, _ = score_file(counters, DoaThresholds(), weights)
+    return {s.developer: s.doa_norm for s in scores}
+
+
+def authors_of(counters, thresholds=DoaThresholds(), weights=DoaWeights()):
+    """Author set of one file, as the scoring kernel decides it."""
+    return score_file(counters, thresholds, weights)[1]
+
+
 class TestDoaNormalized:
     def test_sole_changer_is_one(self):
         counters = {dev(1): FileDevCounters(1, 1, 0)}
-        assert doa_normalized(dev(1), counters) == 1.0
+        assert norms(counters)[dev(1)] == 1.0
 
     def test_creator_plus_five_mods(self):
         counters = two_dev_counters(1, 5, 5, 1)
-        assert doa_normalized(dev(2), counters) == pytest.approx(0.9776, abs=1e-4)
+        assert norms(counters)[dev(2)] == pytest.approx(0.9776, abs=1e-4)
 
     def test_dominant_creator(self):
         counters = two_dev_counters(20, 1, 1, 20)
-        assert doa_normalized(dev(2), counters) == pytest.approx(0.3329, abs=1e-4)
-
-    def test_unknown_developer_rejected(self):
-        counters = {dev(1): FileDevCounters(1, 1, 0)}
-        with pytest.raises(ValueError):
-            doa_normalized(dev(9), counters)
+        assert norms(counters)[dev(2)] == pytest.approx(0.3329, abs=1e-4)
 
     def test_degenerate_weights_rejected(self):
         counters = {dev(1): FileDevCounters(0, 1, 0)}
         weights = DoaWeights(base=-1.0, first_author=0.0, delivery=0.5,
                              acceptance_log=0.0)
         with pytest.raises(ValueError):
-            doa_normalized(dev(1), counters, weights)
+            norms(counters, weights)
 
     @given(st.lists(counters_strategy, min_size=1, max_size=8))
     def test_argmax_scores_exactly_one(self, counter_list):
         counters = {dev(i): c for i, c in enumerate(counter_list)}
         best = max(counters, key=lambda d: doa_absolute(counters[d]))
-        assert doa_normalized(best, counters) == 1.0
+        scored = norms(counters)
+        assert scored[best] == 1.0
         for d in counters:
-            assert 0 < doa_normalized(d, counters) <= 1.0
+            assert 0 < scored[d] <= 1.0
 
 
 class TestAuthorsOf:
@@ -113,7 +120,7 @@ class TestAuthorsOf:
                              acceptance_log=0.0)
         counters = {dev(1): FileDevCounters(1, 3, 2), dev(2): FileDevCounters(0, 2, 3)}
         thresholds = DoaThresholds(normalized_floor=0.75, absolute_floor=3.0)
-        assert doa_normalized(dev(2), counters, weights) == 0.75
+        assert norms(counters, weights)[dev(2)] == 0.75
         assert doa_absolute(counters[dev(2)], weights) >= 3.0
         assert authors_of(counters, thresholds, weights) == {dev(1)}
 
@@ -122,7 +129,7 @@ class TestAuthorsOf:
         counters = {dev(1): FileDevCounters(1, 1, 0), dev(2): FileDevCounters(0, 1, 0)}
         exact = doa_absolute(counters[dev(2)])
         thresholds = DoaThresholds(normalized_floor=0.7, absolute_floor=exact)
-        assert doa_normalized(dev(2), counters) > 0.7
+        assert norms(counters)[dev(2)] > 0.7
         assert dev(2) in authors_of(counters, thresholds)
 
     def test_creator_dominance_at_birth(self):
@@ -151,17 +158,10 @@ class TestAuthorshipMap:
     def test_authored_files_index(self, fixture_records, fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])
         authorship = compute_authorship(snap)
-        for developer in authorship.all_authors:
-            fids = authorship.authored_files(developer)
-            assert fids
-            for fid in fids:
-                assert developer in authorship.files[fid].authors
-
-    def test_for_path_unknown(self, fixture_records, fixture_releases):
-        snap = snapshot_at(fixture_records, fixture_releases[0])
-        authorship = compute_authorship(snap)
-        with pytest.raises(KeyError):
-            authorship.for_path("no/such/file.c")
+        counts = author_file_counts(authorship, list(snap.live.values()))
+        assert set(counts) == {d for fa in authorship for d in fa.authors}
+        for developer, n in counts.items():
+            assert n == sum(developer in fa.authors for fa in authorship)
 
 
 class TestAuthorProportion:

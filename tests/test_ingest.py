@@ -141,8 +141,14 @@ class TestResolveAliases:
             make_record("c2", DeveloperId("Robert", "b@x.org"), 2, [("M", "a.c")]),
         ]
         with caplog.at_level("WARNING"):
-            list(resolve_aliases(recs, {}))
+            resolved = list(resolve_aliases(recs, {}))
         assert any("different names" in r.message for r in caplog.records)
+        # one email is one developer, whatever the name
+        snap = snapshot_at(resolved, ReleaseTag("r", "c2"))
+        counters = snap.counters_for(snap.live["a.c"])
+        assert [(d.email, c.fa, c.dl, c.ac) for d, c in counters.items()] == \
+            [("b@x.org", 1, 2, 0)]
+        assert len(snap.developer_universe) == 1
 
 
 class TestApplyPathFilters:
@@ -156,13 +162,16 @@ class TestApplyPathFilters:
         recs = [make_record("c1", dev(0), 1, [("A", "a.c")])]
         assert list(apply_path_filters(recs, [])) == recs
 
-    def test_record_dropped_when_all_changes_excluded(self):
+    def test_record_emptied_when_all_changes_excluded(self):
+        # kept without changes: its commit id may be a release boundary
         rec = make_record("c1", dev(0), 1, [("A", "firmware/x.bin")])
-        assert list(apply_path_filters([rec], ["firmware/"])) == []
+        (out,) = apply_path_filters([rec], ["firmware/"])
+        assert (out.commit_id, out.changes) == ("c1", ())
 
     def test_rename_matched_on_old_path(self):
         rec = make_record("c1", dev(0), 1, [("R", "kept/x.c", "dropme/x.c")])
-        assert list(apply_path_filters([rec], ["dropme/"])) == []
+        (out,) = apply_path_filters([rec], ["dropme/"])
+        assert out.changes == ()
 
     def test_glob_rule(self):
         rec = make_record("c1", dev(0), 1, [("A", "docs/a.bin"), ("A", "docs/a.txt")])

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from authormine import (ProfileKind, ReleaseTag, classify_author, compute_authorship,
-                        default_rules, make_rules, profile_proportions,
-                        scope_partition, snapshot_at)
+from authormine import (ReleaseTag, author_file_counts, author_subsystems,
+                        compute_authorship, default_rules, make_rules,
+                        profile_proportions, scope_partition, snapshot_at)
 import oracles
 from helpers import dev, make_record, records_from_oracle
 
@@ -23,34 +23,44 @@ def build(commit_spec):
     return snap, compute_authorship(snap)
 
 
+def profiles(snap, authorship, rules=None):
+    """Scope partition, each author's subsystem set and a per-scope breakdown."""
+    partition = scope_partition(snap, rules or default_rules())
+    subsystems = author_subsystems(authorship, partition)
+
+    def breakdown(scope):
+        return profile_proportions(author_file_counts(authorship, partition[scope]),
+                                   subsystems)
+    return subsystems, breakdown
+
+
 class TestClassifyAuthor:
     def test_driver_only_is_specialist(self):
-        _, authorship = build({"drivers/a.c": [dev(1)], "drivers/b.c": [dev(1)]})
-        profile = classify_author(dev(1), authorship, default_rules())
-        assert profile.kind is ProfileKind.SPECIALIST
-        assert profile.subsystems == {"Driver"}
+        subsystems, breakdown = profiles(
+            *build({"drivers/a.c": [dev(1)], "drivers/b.c": [dev(1)]}))
+        assert subsystems[dev(1)] == {"Driver"}
+        assert breakdown(None).specialists == 1
 
     def test_two_subsystems_is_generalist(self):
-        _, authorship = build({"fs/a.c": [dev(1)], "net/b.c": [dev(1)]})
-        profile = classify_author(dev(1), authorship, default_rules())
-        assert profile.kind is ProfileKind.GENERALIST
-        assert profile.subsystems == {"Fs", "Net"}
+        subsystems, breakdown = profiles(*build({"fs/a.c": [dev(1)], "net/b.c": [dev(1)]}))
+        assert subsystems[dev(1)] == {"Fs", "Net"}
+        assert breakdown(None).generalists == 1
 
     def test_non_author_rejected(self):
-        _, authorship = build({"fs/a.c": [dev(1)]})
-        with pytest.raises(ValueError):
-            classify_author(dev(9), authorship, default_rules())
+        # dev 2 changes a file dominated by dev 1 and authors nothing
+        subsystems, breakdown = profiles(*build({"fs/a.c": [dev(1)] * 20 + [dev(2)]}))
+        assert set(subsystems) == {dev(1)}
+        assert breakdown(None).n_authors == 1
 
 
 class TestProfileProportions:
     def test_even_split_in_scope(self):
-        snap, authorship = build({
+        _, breakdown = profiles(*build({
             "drivers/a.c": [dev(1)],
             "drivers/b.c": [dev(2)],
             "fs/c.c": [dev(2)],
-        })
-        partition = scope_partition(snap, default_rules())
-        result = profile_proportions(authorship, default_rules(), partition["Driver"])
+        }))
+        result = breakdown("Driver")
         assert result.n_authors == 2
         assert result.specialist_pct == 50.0
         assert result.generalist_pct == 50.0
@@ -58,24 +68,22 @@ class TestProfileProportions:
     def test_kind_is_judged_globally(self):
         # dev 1 owns one Core file and one Driver file: a generalist even
         # when viewed from the Core scope
-        snap, authorship = build({"kernel/a.c": [dev(1)], "drivers/b.c": [dev(1)]})
-        partition = scope_partition(snap, default_rules())
-        result = profile_proportions(authorship, default_rules(), partition["Core"])
+        _, breakdown = profiles(*build({"kernel/a.c": [dev(1)], "drivers/b.c": [dev(1)]}))
+        result = breakdown("Core")
         assert result.n_authors == 1
         assert result.specialists == 0
         assert result.generalists == 1
 
     def test_empty_scope_rejected(self):
-        _, authorship = build({"fs/a.c": [dev(1)]})
+        _, breakdown = profiles(*build({"fs/a.c": [dev(1)]}))
         with pytest.raises(ValueError):
-            profile_proportions(authorship, default_rules(), [])
+            breakdown("Net")
 
     def test_fixture_matches_golden_expectations(self, fixture_records,
                                                  fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])
-        authorship = compute_authorship(snap)
-        partition = scope_partition(snap, default_rules())
-        result = profile_proportions(authorship, default_rules(), partition[None])
+        _, breakdown = profiles(snap, compute_authorship(snap))
+        result = breakdown(None)
         assert result.n_authors == 6
         assert result.specialists == 3  # bob (Driver), dan (Net), frank (Misc)
         assert result.specialist_pct == 50.0
@@ -94,14 +102,14 @@ class TestPartitionProperties:
             if not snap.live:
                 continue
             authorship = compute_authorship(snap)
-            partition = scope_partition(snap, rules)
-            for fids in partition.values():
+            _, breakdown = profiles(snap, authorship, rules)
+            for scope, fids in scope_partition(snap, rules).items():
                 if not fids:
                     continue
-                result = profile_proportions(authorship, rules, fids)
+                result = breakdown(scope)
                 assert result.specialists + result.generalists == result.n_authors
                 assert result.specialist_pct + result.generalist_pct == \
                     pytest.approx(100.0, abs=1e-9)
-            merged_result = profile_proportions(authorship, merged, partition[None])
-            assert merged_result.specialist_pct == 100.0
+            _, merged_breakdown = profiles(snap, authorship, merged)
+            assert merged_breakdown(None).specialist_pct == 100.0
             checked += 1

@@ -6,9 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from authormine import (ReleaseTag, adjusted_fences, compute_authorship,
+from authormine import (DoaThresholds, DoaWeights, ReleaseTag, adjusted_fences,
+                        author_file_counts, compute_authorship, default_rules,
                         files_per_author, gini, medcouple, outliers, quantile,
                         snapshot_at, top_k_share)
+from authormine import reports, workload
 import oracles
 from helpers import dev, make_record
 
@@ -30,29 +32,27 @@ def authorship_for(commit_spec):
     return snap, compute_authorship(snap)
 
 
+def scope_counts(commit_spec):
+    """Author counts over every live file, and the live file count."""
+    snap, authorship = authorship_for(commit_spec)
+    return author_file_counts(authorship, list(snap.live.values())), len(snap.live)
+
+
 class TestFilesPerAuthor:
     def test_two_authors(self):
-        snap, authorship = authorship_for({"a.c": [dev(1)], "b.c": [dev(2)],
-                                           "c.c": [dev(2)]})
-        sample = files_per_author(authorship, sorted(snap.live.values()))
-        assert sample == [1, 2]
+        counts, _ = scope_counts({"a.c": [dev(1)], "b.c": [dev(2)], "c.c": [dev(2)]})
+        assert files_per_author(counts) == [1, 2]
 
     def test_single_author(self):
-        snap, authorship = authorship_for({f"f{i}.c": [dev(1)] for i in range(4)})
-        assert files_per_author(authorship, sorted(snap.live.values())) == [4]
-
-    def test_zero_file_developers_flag(self):
         # dev 2 changes a file dominated by dev 1 and authors nothing
-        snap, authorship = authorship_for(
-            {"a.c": [dev(1)] * 20 + [dev(2)], "b.c": [dev(1)]})
-        fids = sorted(snap.live.values())
-        assert files_per_author(authorship, fids) == [2]
-        assert files_per_author(authorship, fids,
-                                include_zero_file_developers=True) == [0, 2]
+        spec = {f"f{i}.c": [dev(1)] for i in range(4)}
+        spec["f0.c"] = [dev(1)] * 20 + [dev(2)]
+        counts, _ = scope_counts(spec)
+        assert files_per_author(counts) == [4]
 
     def test_empty_scope_gives_empty_sample(self):
         _, authorship = authorship_for({"a.c": [dev(1)]})
-        assert files_per_author(authorship, []) == []
+        assert files_per_author(author_file_counts(authorship, [])) == []
 
 
 class TestQuantile:
@@ -119,14 +119,14 @@ class TestMedcouple:
 class TestAdjustedFences:
     def test_zero_medcouple_gives_tukey_fences(self):
         sample = [1, 2, 3, 4, 5]  # symmetric, MC = 0
-        fences = adjusted_fences(sample)
+        fences = adjusted_fences(sample, medcouple(sample))
         q1, q3 = quantile(sample, 0.25), quantile(sample, 0.75)
         iqr = q3 - q1
         assert fences.lower == q1 - 1.5 * iqr
         assert fences.upper == q3 + 1.5 * iqr
 
     def test_reference_values(self):
-        fences = adjusted_fences([1, 2, 4, 10])
+        fences = adjusted_fences([1, 2, 4, 10], medcouple([1, 2, 4, 10]))
         mc = 5 / 18
         assert fences.lower == pytest.approx(1.75 - 1.5 * math.exp(-4 * mc) * 3.75,
                                              abs=1e-12)
@@ -136,12 +136,12 @@ class TestAdjustedFences:
         assert fences.upper == pytest.approx(18.443, abs=1e-3)
 
     def test_constant_sample_collapses(self):
-        fences = adjusted_fences([4, 4, 4, 4])
+        fences = adjusted_fences([4, 4, 4, 4], 0.0)
         assert fences.lower == fences.upper == 4.0
 
     def test_outliers(self):
         sample = [1, 2, 4, 10, 100]
-        fences = adjusted_fences(sample)
+        fences = adjusted_fences(sample, medcouple(sample))
         out = outliers(sample, fences)
         assert all(x > fences.upper or x < fences.lower for x in out)
         assert 100 in out
@@ -150,7 +150,7 @@ class TestAdjustedFences:
     @settings(max_examples=100)
     def test_matches_oracle(self, sample):
         lo, hi = oracles.adjusted_fences_oracle(sample)
-        fences = adjusted_fences(sample)
+        fences = adjusted_fences(sample, medcouple(sample))
         assert fences.lower == pytest.approx(lo, abs=1e-9)
         assert fences.upper == pytest.approx(hi, abs=1e-9)
 
@@ -200,25 +200,24 @@ class TestGini:
 
 class TestTopKShare:
     def test_dominant_author(self):
-        snap, authorship = authorship_for(
+        counts, n_files = scope_counts(
             {"a.c": [dev(1)], "b.c": [dev(1)], "c.c": [dev(1)], "d.c": [dev(2)]})
-        top = top_k_share(authorship, sorted(snap.live.values()), 10)
+        top = top_k_share(counts, n_files, 10)
         assert top.top1_share == 0.75
         assert top.ranks[0].developer == dev(1)
         assert top.ranks[0].files == 3
         assert top.truncated  # only two authors for k=10
 
     def test_tie_broken_by_email(self):
-        snap, authorship = authorship_for(
-            {"a.c": [dev(2)], "b.c": [dev(1)], "c.c": [dev(3)]})
-        top = top_k_share(authorship, sorted(snap.live.values()), 3)
+        counts, n_files = scope_counts({"a.c": [dev(2)], "b.c": [dev(1)], "c.c": [dev(3)]})
+        top = top_k_share(counts, n_files, 3)
         emails = [r.developer.email for r in top.ranks]
         assert emails == sorted(emails)
 
     def test_next_share_sums_remaining(self):
-        snap, authorship = authorship_for(
+        counts, n_files = scope_counts(
             {"a.c": [dev(1)], "b.c": [dev(1)], "c.c": [dev(2)], "d.c": [dev(3)]})
-        top = top_k_share(authorship, sorted(snap.live.values()), 2)
+        top = top_k_share(counts, n_files, 2)
         assert top.top1_share == pytest.approx(0.5)
         assert top.next_share == pytest.approx(0.25)
         assert not top.truncated
@@ -230,21 +229,40 @@ class TestTopKShare:
         fids = sorted(snap.live.values())
         authors = authorship.files[fids[0]].authors
         assert len(authors) == 2
-        top = top_k_share(authorship, fids, 10)
+        top = top_k_share(author_file_counts(authorship, fids), len(fids), 10)
         assert top.top1_share + top.next_share == pytest.approx(2.0)
 
     def test_domain_errors(self):
-        _, authorship = authorship_for({"a.c": [dev(1)]})
+        counts, _ = scope_counts({"a.c": [dev(1)]})
         with pytest.raises(ValueError):
-            top_k_share(authorship, [], 10)
+            top_k_share({}, 0, 10)
         with pytest.raises(ValueError):
-            top_k_share(authorship, [0], 0)
+            top_k_share(counts, 1, 0)
 
 
 class TestFixtureWorkload:
     def test_final_release_sample(self, fixture_records, fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])
         authorship = compute_authorship(snap)
-        sample = files_per_author(authorship, sorted(snap.live.values()))
+        sample = files_per_author(author_file_counts(authorship, sorted(snap.live.values())))
         assert sample == [1, 2, 3, 4, 5, 6]
         assert gini(sample) == pytest.approx(oracles.gini_pairwise(sample), abs=1e-12)
+
+    def test_medcouple_once_per_scope(self, fixture_records, fixture_releases,
+                                      monkeypatch):
+        # the workload row hands its medcouple to the fences instead of
+        # computing it a second time
+        calls = []
+
+        def counted(sample):
+            calls.append(len(sample))
+            return medcouple(sample)
+
+        monkeypatch.setattr(reports, "medcouple", counted)
+        monkeypatch.setattr(workload, "medcouple", counted)
+        snap = snapshot_at(fixture_records, fixture_releases[-1])
+        report = reports.release_report(snap, default_rules(), DoaThresholds(),
+                                        DoaWeights())
+        with_mc = [row for row in report.workload_rows if row[8] != "NA"]
+        assert with_mc
+        assert len(calls) == len(with_mc)
