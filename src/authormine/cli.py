@@ -7,7 +7,9 @@ import contextlib
 import csv
 import logging
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -19,11 +21,10 @@ from .errors import AuthormineError, ConfigError
 from .ingest import (AliasMap, ReleaseTag, apply_path_filters, load_alias_map,
                      load_releases, parse_commit_log, resolve_aliases)
 from .patterns import PathMatcher
-from .reports import (AUTHORSHIP_HEADER, EDGES_HEADER, NETWORK_HEADER,
-                      PROFILES_HEADER, WORKLOAD_HEADER, build_manifest, edge_rows,
-                      fmt_float, network_row, release_graphs, release_report,
-                      release_workload, scope_name, sha256_file, write_csv,
-                      write_json_mirror, write_manifest, write_pajek)
+from .reports import (EDGES_HEADER, NETWORK_HEADER, REPORTS, WORKLOAD_HEADER,
+                      build_manifest, edge_rows, fmt_float, network_row, release_graphs,
+                      release_report, release_workload, scope_name, sha256_file,
+                      write_csv, write_json_mirror, write_manifest, write_pajek)
 from .snapshot import ReleaseSnapshot, iter_snapshots
 from .subsystems import SubsystemRules, default_rules, load_rules
 
@@ -123,67 +124,50 @@ def _snapshot_stream(config: RunConfig, releases: "list[ReleaseTag] | None" = No
 
 
 def cmd_analyze(config: RunConfig) -> int:
+    """Write every report once into a staging directory, then publish by rename.
+
+    The stage sits inside the report directory, so each rename stays on one
+    filesystem; a failed run removes the stage and leaves the directory as it was.
+    """
     config.validate()
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    csv_outputs = [
-        ("authorship", AUTHORSHIP_HEADER),
-        ("workload", WORKLOAD_HEADER),
-        ("profiles", PROFILES_HEADER),
-        ("network", NETWORK_HEADER),
-    ]
-    written: list[Path] = []
-    handles = {}
-    mirrors: dict[str, list] = {name: [] for name, _ in csv_outputs}
+    stage = Path(tempfile.mkdtemp(prefix=".authormine-", dir=out_dir))
     try:
-        for name, header in csv_outputs:
-            path = out_dir / f"{name}.csv"
-            fh = open(path, "w", encoding="utf-8", newline="")
-            written.append(path)
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            handles[name] = (fh, writer)
+        with contextlib.ExitStack() as stack:
+            writers = []
+            for name, header in REPORTS:
+                fh = stack.enter_context(
+                    open(stage / f"{name}.csv", "w", encoding="utf-8", newline=""))
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writers.append(writer)
+            with _snapshot_stream(config) as snapshots:
+                for snap in snapshots:
+                    report = release_report(snap, config.rules, config.thresholds,
+                                            DoaWeights())
+                    for writer, rows in zip(writers, report):
+                        writer.writerows(rows)
+                    logger.info("release %s done", snap.release.name)
 
-        with _snapshot_stream(config) as snapshots:
-            for snap in snapshots:
-                report = release_report(snap, config.rules, config.thresholds,
-                                        DoaWeights())
-                for name, rows in (("authorship", report.authorship_rows),
-                                   ("workload", report.workload_rows),
-                                   ("profiles", report.profile_rows),
-                                   ("network", report.network_rows)):
-                    handles[name][1].writerows(rows)
-                    if config.json_mirror:
-                        mirrors[name].extend(rows)
-                logger.info("release %s done", snap.release.name)
+        if config.json_mirror:  # each mirror is read back from the finished CSV
+            for name, _ in REPORTS:
+                with open(stage / f"{name}.csv", encoding="utf-8", newline="") as src, \
+                        open(stage / f"{name}.json", "w", encoding="utf-8",
+                             newline="\n") as dst:
+                    rows = csv.reader(src)
+                    write_json_mirror(dst, next(rows), rows)
 
-        for fh, _ in handles.values():
-            fh.close()
-        handles.clear()
-
-        if config.json_mirror:
-            for name, header in csv_outputs:
-                path = out_dir / f"{name}.json"
-                written.append(path)
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    write_json_mirror(fh, header, mirrors[name])
-
-        outputs = [{"name": p.name, "sha256": sha256_file(p)}
-                   for p in sorted(written, key=lambda p: p.name)]
+        names = sorted(path.name for path in stage.iterdir())
+        outputs = [{"name": name, "sha256": sha256_file(stage / name)} for name in names]
         manifest = build_manifest(__version__, config.settings_dict(),
                                   config.input_descriptors(), outputs)
-        with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+        with open(stage / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
             write_manifest(fh, manifest)
-    except BaseException:
-        for fh, _ in handles.values():
-            fh.close()
-        for path in written:
-            with contextlib.suppress(OSError):
-                path.unlink()
-        with contextlib.suppress(OSError):
-            (out_dir / "manifest.json").unlink()
-        raise
+        for name in names + ["manifest.json"]:
+            os.replace(stage / name, out_dir / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return EXIT_OK
 
 

@@ -8,8 +8,11 @@
 #    "ts": <author unix time>, "ch": [["A","path"], ["M","path"],
 #    ["D","path"], ["R","new_path","old_path"], ...]}
 #
+# Merge and empty commits are kept as records with "ch": [] (git lists no
+# changed paths for a merge): they count for nothing, but a release may
+# name one as its boundary.
+#
 # Notes on the invocation below:
-#   --no-merges     merge commits carry no authorship signal and are dropped
 #   --reverse       oldest-first order, as the accumulator requires
 #   --topo-order    children never precede parents even under clock skew
 #   --name-status   one status letter per changed path
@@ -22,7 +25,7 @@ set -eu
 
 REPO="${1:?usage: export_log.sh /path/to/repo}"
 
-git -C "$REPO" log --no-merges --reverse --topo-order -M --name-status \
+git -C "$REPO" log --reverse --topo-order -M --name-status \
     --format='%x1e%H%x1f%an%x1f%ae%x1f%at' \
 | python3 -c '
 import json
@@ -52,8 +55,7 @@ for record in records:
             kind = {"A": "A", "M": "M", "D": "D", "T": "M"}.get(status[:1])
             if kind is not None:
                 changes.append([kind, fields[1]])
-    if changes:
-        sys.stdout.write(json.dumps(
-            {"id": commit, "an": name, "ae": email, "ts": int(ts), "ch": changes},
-            ensure_ascii=False) + "\n")
+    sys.stdout.write(json.dumps(
+        {"id": commit, "an": name, "ae": email, "ts": int(ts), "ch": changes},
+        ensure_ascii=False) + "\n")
 '

@@ -6,8 +6,9 @@ The expected input is one JSON object per line, oldest commit first:
      "ts": <unix seconds>, "ch": [["A", "path"], ["M", "path"],
      ["D", "path"], ["R", "new_path", "old_path"], ...]}
 
-Unknown keys are ignored.  Merge commits must not be present in the
-stream (the exporter drops them); only commit authors are represented,
+Unknown keys are ignored.  Merge and empty commits are records with an
+empty change list (the exporter writes them so): they count for nothing,
+but a release may end at one.  Only commit authors are represented,
 committers are not part of the schema at all.  A developer is identified
 by email (see DeveloperId); `resolve_aliases` lowercases emails and
 merges different ones through the alias map.
@@ -88,7 +89,9 @@ def _normalize_path(raw: object, line_no: int) -> str:
     if not isinstance(raw, str) or not raw:
         raise LogSchemaError("change path must be a non-empty string", line_no, "ch")
     path = posixpath.normpath(raw)
-    if path.startswith("/") or path == "." or path == ".." or path.startswith("../"):
+    # a carriage return is written unquoted and would split the report's CSV row
+    if path.startswith("/") or path == "." or path == ".." or path.startswith("../") \
+            or "\r" in path:
         raise LogSchemaError(f"illegal path {raw!r}", line_no, "ch")
     return path
 
@@ -120,9 +123,10 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
                      ) -> Iterator[CommitRecord]:
     """Parse an NDJSON commit log into CommitRecords, in stream order.
 
-    Blank lines are skipped.  Records with an empty change list are
-    dropped.  Decreasing timestamps are tolerated (git histories contain
-    clock skew) and reported once as a warning.
+    Blank lines are skipped.  Records with an empty change list (merge
+    and empty commits) are yielded too, so that they can close a release.
+    Decreasing timestamps are tolerated (git histories contain clock
+    skew) and reported once as a warning.
     """
     skew_warned = False
     last_ts: int | None = None
@@ -152,6 +156,8 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
         email = _require(obj, "ae", line_no)
         if not isinstance(email, str):
             raise LogSchemaError("must be a string", line_no, "ae")
+        if "\r" in email:  # see _normalize_path
+            raise LogSchemaError("must not contain a carriage return", line_no, "ae")
         ts = _require(obj, "ts", line_no)
         if isinstance(ts, bool) or not isinstance(ts, int):
             raise LogSchemaError("must be an integer", line_no, "ts")
@@ -168,9 +174,6 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
         last_ts = ts
 
         changes = tuple(_parse_change(entry, line_no) for entry in ch)
-        if not changes:
-            logger.debug("dropping commit %s (line %d): no file changes", commit_id, line_no)
-            continue
         yield CommitRecord(commit_id, DeveloperId(name, email), ts, changes)
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import IO, Sequence
+from json.encoder import encode_basestring
+from typing import IO, Iterable, Sequence
 
 from .doa import AuthorshipMap, DoaThresholds, DoaWeights, compute_authorship
 from .ingest import DeveloperId
@@ -37,6 +37,11 @@ NETWORK_HEADER = ["release", "scope", "vertices", "edges", "mean_degree",
                   "transitivity", "avg_local_clustering", "assortativity",
                   "solitary_count", "solitary_pct"]
 EDGES_HEADER = ["author_a", "author_b", "shared_files"]
+
+# the reports `analyze` writes, in output order; `release_report` returns
+# one row list per entry
+REPORTS = (("authorship", AUTHORSHIP_HEADER), ("workload", WORKLOAD_HEADER),
+           ("profiles", PROFILES_HEADER), ("network", NETWORK_HEADER))
 
 
 def fmt_float(value: "float | None") -> str:
@@ -117,18 +122,10 @@ def network_row(release_name: str, scope: "str | None",
     ]
 
 
-@dataclass
-class ReleaseReport:
-    release: str
-    authorship_rows: list[list[str]]
-    workload_rows: list[list[str]]
-    profile_rows: list[list[str]]
-    network_rows: list[list[str]]
-
-
 def release_report(snapshot: ReleaseSnapshot, rules: SubsystemRules,
-                   thresholds: DoaThresholds, weights: DoaWeights) -> ReleaseReport:
-    """All report rows for one release, scopes ordered All-first."""
+                   thresholds: DoaThresholds, weights: DoaWeights,
+                   ) -> tuple[list[list[str]], ...]:
+    """All report rows for one release, one list per REPORTS entry, scopes All-first."""
     authorship = compute_authorship(snapshot, thresholds, weights)
     partition = scope_partition(snapshot, rules)
     subsystems = author_subsystems(authorship, partition)
@@ -141,8 +138,7 @@ def release_report(snapshot: ReleaseSnapshot, rules: SubsystemRules,
         workload_rows.append(workload_row(name, scope, counts, len(fids)))
         profile_rows.append(profiles_row(name, scope, counts, subsystems))
         network_rows.append(network_row(name, scope, build_graph(authorship, fids)))
-    return ReleaseReport(name, authorship_rows(name, authorship),
-                         workload_rows, profile_rows, network_rows)
+    return authorship_rows(name, authorship), workload_rows, profile_rows, network_rows
 
 
 def release_workload(snapshot: ReleaseSnapshot, rules: SubsystemRules,
@@ -173,14 +169,20 @@ def write_csv(fh: IO[str], header: Sequence[str], rows: Sequence[Sequence[str]])
     writer.writerows(rows)
 
 
-def rows_as_objects(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[dict]:
-    return [dict(zip(header, row)) for row in rows]
-
-
 def write_json_mirror(fh: IO[str], header: Sequence[str],
-                      rows: Sequence[Sequence[str]]) -> None:
-    json.dump(rows_as_objects(header, rows), fh, indent=2, ensure_ascii=False)
-    fh.write("\n")
+                      rows: Iterable[Sequence[str]]) -> None:
+    """Write string rows as a JSON array of header-keyed objects, one row at a time.
+
+    The bytes equal `json.dump([dict(zip(header, row)) for row in rows], fh,
+    indent=2, ensure_ascii=False)` plus a newline, without the list.
+    """
+    keys = [f"\n    {encode_basestring(key)}: " for key in header]
+    opener = "[\n  {"
+    for row in rows:
+        fh.write(opener + ",".join(k + encode_basestring(v) for k, v in zip(keys, row))
+                 + "\n  }")
+        opener = ",\n  {"
+    fh.write("[]\n" if opener == "[\n  {" else "\n]\n")
 
 
 def write_pajek(fh: IO[str], graph: CoauthorGraph) -> None:

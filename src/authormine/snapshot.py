@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .doa import FileDevCounters
-from .errors import BoundaryNotFoundError
+from .errors import AuthormineError, BoundaryNotFoundError, ConfigError
 from .ingest import ChangeKind, CommitRecord, DeveloperId, ReleaseTag
 
 logger = logging.getLogger(__name__)
@@ -48,13 +48,6 @@ class ReleaseSnapshot:
     live: Mapping[str, int]
     files: Mapping[int, FileCounters]
     developer_universe: frozenset[DeveloperId]
-
-    @property
-    def live_files(self) -> frozenset[int]:
-        return frozenset(self.live.values())
-
-    def changed(self, fid: int) -> frozenset[DeveloperId]:
-        return frozenset(self.files[fid].deliveries)
 
     def counters_for(self, fid: int) -> dict[DeveloperId, FileDevCounters]:
         state = self.files[fid]
@@ -149,7 +142,7 @@ class _Accumulator:
         self._deliver(fid, dev, delivered)
 
     def feed(self, record: CommitRecord) -> None:
-        if not record.changes:  # every change excluded; only the commit id matters
+        if not record.changes:  # empty, merge or fully excluded; only the id matters
             return
         self.devs.add(record.author)
         delivered: set[int] = set()
@@ -178,23 +171,37 @@ def iter_snapshots(records: Iterable[CommitRecord],
     """Yield one frozen snapshot per release, in a single pass over the records.
 
     Records must be ordered oldest first and releases must appear in
-    stream order.  Raises BoundaryNotFoundError if a boundary commit
-    never shows up.
+    stream order.  Raises ConfigError when a release's boundary comes
+    before an earlier-listed release's, AuthormineError when a commit id
+    repeats (overlapping logs), and BoundaryNotFoundError if a boundary
+    commit never shows up.
     """
     if not releases:
         return
-    acc = _Accumulator(follow_renames)
     pending = list(releases)
-    next_tag = pending.pop(0)
+    boundaries = {tag.boundary for tag in releases}
+    seen: set[str] = set()
+    acc = _Accumulator(follow_renames)
     for record in records:
+        if record.commit_id in seen:
+            raise AuthormineError(f"commit {record.commit_id!r} appears twice in the "
+                                  "record stream (overlapping logs?)")
+        seen.add(record.commit_id)
         acc.feed(record)
-        while next_tag is not None and record.commit_id == next_tag.boundary:
-            yield acc.freeze(next_tag)
-            next_tag = pending.pop(0) if pending else None
-        if next_tag is None:
+        if record.commit_id not in boundaries:
+            continue
+        while pending and pending[0].boundary == record.commit_id:
+            yield acc.freeze(pending.pop(0))
+        if not pending:
             return
+        early = next((tag for tag in pending if tag.boundary == record.commit_id), None)
+        if early is not None:
+            raise ConfigError(
+                f"release {early.name!r} ends at commit {record.commit_id!r}, before "
+                f"the boundary of release {pending[0].name!r}, which is listed "
+                "earlier; list releases in stream order")
     raise BoundaryNotFoundError(
-        f"boundary commit {next_tag.boundary!r} for release {next_tag.name!r} "
+        f"boundary commit {pending[0].boundary!r} for release {pending[0].name!r} "
         "not found in the record stream")
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: analyze goldens, queries, exports, exit codes."""
 
+import csv
 import json
 
 from authormine.cli import main
@@ -50,6 +51,26 @@ class TestAnalyze:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         names = {o["name"] for o in manifest["outputs"]}
         assert "workload.json" in names
+        for name in CSV_NAMES:  # each mirror is json.dump of its CSV's rows
+            with open(tmp_path / name, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            expected = json.dumps([dict(zip(header, row)) for row in rows],
+                                  indent=2, ensure_ascii=False) + "\n"
+            mirror = tmp_path / name.replace(".csv", ".json")
+            assert mirror.read_bytes() == expected.encode("utf-8"), name
+        assert not list(tmp_path.glob(".authormine-*"))  # the stage is gone
+
+    def test_failed_run_keeps_previous_report(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_analyze(out, ["--json"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        bad_log = tmp_path / "bad.ndjson"
+        good = FIXTURE_LOG.read_text().splitlines()
+        bad_log.write_text("\n".join(good[:40] + ["{broken"] + good[40:]) + "\n")
+        code = main(["analyze", "--log", str(bad_log), "--releases", str(FIXTURE_RELEASES),
+                     "-o", str(out), "--json"])
+        assert code == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_missing_releases_file_fails_fast(self, tmp_path):
         out = tmp_path / "out"
@@ -73,6 +94,7 @@ class TestAnalyze:
         assert code == 1
         assert not any(out.glob("*.csv"))
         assert not (out / "manifest.json").exists()
+        assert not list(out.iterdir())  # no staging directory left either
 
     def test_boundary_emptied_by_exclusion_closes_release(self, tmp_path):
         log = tmp_path / "log.ndjson"
@@ -94,6 +116,22 @@ class TestAnalyze:
             ["r2", "kernel/a.c", "ann@x.org", "1", "1", "1"],
             ["r2", "kernel/a.c", "bob@x.org", "0", "1", "1"],
         ]
+
+    def test_empty_commit_closes_release(self, tmp_path):
+        log = tmp_path / "log.ndjson"
+        log.write_text(
+            '{"id":"c1","an":"Ann","ae":"ann@x.org","ts":1,"ch":[["A","kernel/a.c"]]}\n'
+            '{"id":"c2","an":"Bob","ae":"bob@x.org","ts":2,"ch":[]}\n')
+        releases = tmp_path / "releases.txt"
+        releases.write_text("r1 c2\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--log", str(log), "--releases", str(releases),
+                     "-o", str(out)]) == 0
+        rows = (out / "authorship.csv").read_text().splitlines()
+        assert [row.split(",")[:6] for row in rows[1:]] == [
+            ["r1", "kernel/a.c", "ann@x.org", "1", "1", "0"]]
+        network = (out / "network.csv").read_text().splitlines()
+        assert network[1].startswith("r1,All,1,0,")  # Bob is no developer of a.c
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
@@ -192,6 +230,7 @@ class TestExportLogHelper:
     def test_prints_invocation(self, capsys):
         assert main(["export-log-helper"]) == 0
         script = capsys.readouterr().out
-        assert "git" in script and "--no-merges" in script
+        assert "git" in script and "--topo-order" in script
+        assert "--no-merges" not in script  # merges close releases too
         assert "--name-status" in script and "--reverse" in script
         assert "%an" in script and "%ae" in script

@@ -59,3 +59,30 @@ def test_export_script_round_trips(tiny_repo, tmp_path, capsys):
     # timestamps never decrease: --reverse --topo-order ordering held
     timestamps = [r.timestamp for r in records]
     assert timestamps == sorted(timestamps)
+
+
+def test_merge_commit_closes_release(tiny_repo, tmp_path, capsys):
+    git(tiny_repo, "checkout", "-qb", "side")
+    (tiny_repo / "src" / "d.c").write_text("d\n")
+    git(tiny_repo, "add", ".")
+    git(tiny_repo, "commit", "-qm", "side")
+    git(tiny_repo, "checkout", "-q", "-")
+    git(tiny_repo, "merge", "-q", "--no-ff", "side", "-m", "merge")
+    merge = subprocess.run(["git", "-C", str(tiny_repo), "rev-parse", "HEAD"], check=True,
+                           capture_output=True, text=True).stdout.strip()
+
+    assert main(["export-log-helper"]) == 0
+    script = tmp_path / "export.sh"
+    script.write_text(capsys.readouterr().out)
+    log = tmp_path / "history.ndjson"
+    log.write_text(subprocess.run(["sh", str(script), str(tiny_repo)], check=True,
+                                  capture_output=True, text=True).stdout)
+    records = list(parse_commit_log(io.StringIO(log.read_text())))
+    assert len(records) == 7
+    assert (records[-1].commit_id, records[-1].changes) == (merge, ())
+
+    releases = tmp_path / "releases.txt"
+    releases.write_text(f"v1 {merge}\n")
+    assert main(["stats", "--log", str(log), "--releases", str(releases)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("v1,All,1,")  # one author, of c.c and d.c

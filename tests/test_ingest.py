@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from authormine import (BoundaryNotFoundError, ChangeKind, ConfigError, DeveloperId,
-                        FileChange, LogParseError, LogSchemaError, ReleaseTag,
+from authormine import (AuthormineError, BoundaryNotFoundError, ChangeKind, ConfigError,
+                        DeveloperId, FileChange, LogParseError, LogSchemaError, ReleaseTag,
                         apply_path_filters, compute_authorship, iter_snapshots,
                         load_alias_map, load_releases, parse_commit_log,
                         resolve_aliases, snapshot_at)
@@ -51,6 +51,12 @@ class TestParseCommitLog:
             parse('{"id":"a1","an":"A","ts":1,"ch":[]}')
         assert exc.value.field == "ae"
 
+    def test_carriage_return_in_email(self):
+        # the email is a report column; a carriage return would split its CSV row
+        with pytest.raises(LogSchemaError) as exc:
+            parse(json.dumps({"id": "a1", "an": "A", "ae": "a\r@x", "ts": 1, "ch": []}))
+        assert exc.value.field == "ae"
+
     def test_unknown_keys_ignored(self):
         line = '{"id":"a1","an":"A","ae":"a@x","ts":1,"ch":[["A","f.c"]],"extra":42}'
         assert len(parse(line)) == 1
@@ -62,6 +68,7 @@ class TestParseCommitLog:
         [["A", "../escape.c"]],
         [["A", "/abs.c"]],
         [["A", ""]],
+        [["A", "a\rb.c"]],
         "notalist",
     ])
     def test_bad_change_entries(self, ch):
@@ -83,8 +90,11 @@ class TestParseCommitLog:
         line = '{"id":"a1","an":"A","ae":"a@x","ts":1,"ch":[["A","f.c"]]}'
         assert len(parse("\n" + line + "\n\n")) == 1
 
-    def test_empty_change_list_dropped(self):
-        assert parse('{"id":"a1","an":"A","ae":"a@x","ts":1,"ch":[]}') == []
+    def test_empty_change_list_kept(self):
+        # an empty or merge commit is kept, with no changes, so it can close a release
+        (record,) = parse('{"id":"a1","an":"A","ae":"a@x","ts":1,"ch":[]}')
+        assert record.commit_id == "a1"
+        assert record.changes == ()
 
     def test_bytes_stream(self):
         line = b'{"id":"a1","an":"A","ae":"a@x","ts":1,"ch":[["A","f.c"]]}'
@@ -251,6 +261,27 @@ class TestSnapshotAt:
         recs = [make_record("c1", dev(1), 1, [("A", "f")])]
         with pytest.raises(BoundaryNotFoundError):
             snapshot_at(recs, ReleaseTag("r", "missing"))
+
+    def test_releases_out_of_stream_order(self):
+        recs = [make_record("c1", dev(1), 1, [("A", "f")]),
+                make_record("c2", dev(1), 2, [("M", "f")])]
+        with pytest.raises(ConfigError, match="'r1'.*'r2'"):
+            list(iter_snapshots(recs, [ReleaseTag("r2", "c2"), ReleaseTag("r1", "c1")]))
+
+    def test_two_releases_on_one_boundary(self):
+        recs = [make_record("c1", dev(1), 1, [("A", "f")])]
+        snaps = list(iter_snapshots(recs, [ReleaseTag("r1", "c1"), ReleaseTag("r2", "c1")]))
+        assert [s.release.name for s in snaps] == ["r1", "r2"]
+        assert snaps[0].live == snaps[1].live
+
+    def test_repeated_commit_id(self):
+        # overlapping logs: c2 would be counted twice
+        first = [make_record("c1", dev(1), 1, [("A", "f")]),
+                 make_record("c2", dev(1), 2, [("M", "f")])]
+        second = [first[1], make_record("c3", dev(2), 3, [("M", "f")])]
+        with pytest.raises(AuthormineError, match="'c2' appears twice"):
+            list(iter_snapshots(first + second,
+                                [ReleaseTag("r1", "c1"), ReleaseTag("r2", "c3")]))
 
     def test_multi_file_commit_counts_once_per_file(self):
         recs = [make_record("c1", dev(1), 1, [("A", "a"), ("A", "b")])]

@@ -261,8 +261,8 @@ class TestFixtureWorkload:
         monkeypatch.setattr(reports, "medcouple", counted)
         monkeypatch.setattr(workload, "medcouple", counted)
         snap = snapshot_at(fixture_records, fixture_releases[-1])
-        report = reports.release_report(snap, default_rules(), DoaThresholds(),
-                                        DoaWeights())
-        with_mc = [row for row in report.workload_rows if row[8] != "NA"]
+        _, workload_rows, _, _ = reports.release_report(snap, default_rules(),
+                                                        DoaThresholds(), DoaWeights())
+        with_mc = [row for row in workload_rows if row[8] != "NA"]
         assert with_mc
         assert len(calls) == len(with_mc)
