@@ -4,6 +4,8 @@ The pipeline: parse an NDJSON commit log, canonicalize author
 identities, filter excluded paths, accumulate per-file counters up to
 each release boundary, then score authorship and derive workload,
 profile and co-authorship network statistics per release and subsystem.
+Along a release series, each release recomputes only the files that
+changed since the previous one (`SeriesState`).
 """
 
 __version__ = "0.1.0"
@@ -18,11 +20,12 @@ from .ingest import (ChangeKind, CommitRecord, DeveloperId, FileChange, ReleaseT
                      parse_commit_log, resolve_aliases)
 from .network import (CoauthorGraph, assortativity, build_graph, clustering_avg_local,
                       clustering_global, mean_degree, solitary_authors)
-from .profiles import ProfileBreakdown, author_subsystems, profile_proportions
+from .profiles import ProfileBreakdown, profile_proportions
+from .series import SeriesState
 from .snapshot import FileCounters, ReleaseSnapshot, iter_snapshots, snapshot_at
 from .subsystems import (SubsystemRules, default_rules, load_rules, make_rules,
                          scope_partition, subsystem_sizes)
-from .workload import (AuthorRank, Fences, TopKShare, adjusted_fences, author_file_counts,
-                       files_per_author, gini, medcouple, outliers, quantile, top_k_share)
+from .workload import (AuthorRank, Fences, TopKShare, adjusted_fences, files_per_author,
+                       gini, medcouple, outliers, quantile, top_k_share)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

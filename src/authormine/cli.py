@@ -7,6 +7,7 @@ import contextlib
 import csv
 import logging
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -25,6 +26,7 @@ from .reports import (EDGES_HEADER, NETWORK_HEADER, REPORTS, WORKLOAD_HEADER,
                       build_manifest, edge_rows, fmt_float, network_row, release_graphs,
                       release_report, release_workload, scope_name, sha256_file,
                       write_csv, write_json_mirror, write_manifest, write_pajek)
+from .series import SeriesState
 from .snapshot import ReleaseSnapshot, iter_snapshots
 from .subsystems import SubsystemRules, default_rules, load_rules
 
@@ -123,16 +125,41 @@ def _snapshot_stream(config: RunConfig, releases: "list[ReleaseTag] | None" = No
                              follow_renames=config.follow_renames)
 
 
+STAGE_PATTERN = re.compile(r"\.authormine-([1-9][0-9]*)-.*")
+
+
+def _process_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):  # no process has that id
+        return False
+    except PermissionError:  # it exists, under another user
+        pass
+    return True
+
+
+def _sweep_stages(out_dir: Path) -> None:
+    """Remove the stages of earlier runs whose process is gone (killed before
+    its cleanup ran); a stage's name carries the process id of its run."""
+    for path in out_dir.iterdir():
+        match = STAGE_PATTERN.fullmatch(path.name)
+        if match and path.is_dir() and not _process_exists(int(match.group(1))):
+            shutil.rmtree(path, ignore_errors=True)
+
+
 def cmd_analyze(config: RunConfig) -> int:
     """Write every report once into a staging directory, then publish by rename.
 
     The stage sits inside the report directory, so each rename stays on one
     filesystem; a failed run removes the stage and leaves the directory as it was.
+    One series state carries each release's results over to the next, so a
+    release scores, classifies and counts only the files that changed.
     """
     config.validate()
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".authormine-", dir=out_dir))
+    _sweep_stages(out_dir)
+    stage = Path(tempfile.mkdtemp(prefix=f".authormine-{os.getpid()}-", dir=out_dir))
     try:
         with contextlib.ExitStack() as stack:
             writers = []
@@ -142,13 +169,15 @@ def cmd_analyze(config: RunConfig) -> int:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(header)
                 writers.append(writer)
+            state = SeriesState()
             with _snapshot_stream(config) as snapshots:
                 for snap in snapshots:
                     report = release_report(snap, config.rules, config.thresholds,
-                                            DoaWeights())
+                                            DoaWeights(), state)
                     for writer, rows in zip(writers, report):
                         writer.writerows(rows)
-                    logger.info("release %s done", snap.release.name)
+                    logger.info("release %s done: %d of %d live files rescored",
+                                snap.release.name, state.rescored, len(snap.live))
 
         if config.json_mirror:  # each mirror is read back from the finished CSV
             for name, _ in REPORTS:
@@ -164,8 +193,12 @@ def cmd_analyze(config: RunConfig) -> int:
                                   config.input_descriptors(), outputs)
         with open(stage / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
             write_manifest(fh, manifest)
-        for name in names + ["manifest.json"]:
+        for name in names:
             os.replace(stage / name, out_dir / name)
+        for name, _ in REPORTS:  # a mirror this run did not write is stale
+            if f"{name}.json" not in names:
+                (out_dir / f"{name}.json").unlink(missing_ok=True)
+        os.replace(stage / "manifest.json", out_dir / "manifest.json")
     finally:
         shutil.rmtree(stage, ignore_errors=True)
     return EXIT_OK
@@ -205,9 +238,11 @@ def cmd_stats(config: RunConfig, release_name: "str | None") -> int:
     config.validate()
     releases = _releases(config, release_name)
     rows = []
+    state = SeriesState()
     with _snapshot_stream(config, releases) as snapshots:
         for snap in snapshots:
-            rows.extend(release_workload(snap, config.rules, config.thresholds, DoaWeights()))
+            rows.extend(release_workload(snap, config.rules, config.thresholds, DoaWeights(),
+                                         state))
     write_csv(sys.stdout, WORKLOAD_HEADER, rows)
     return EXIT_OK
 
@@ -224,9 +259,11 @@ def cmd_network(config: RunConfig, release_name: "str | None",
         raise ConfigError(f"unknown scope {scope!r}; expected one of "
                           f"{(scope_name(None),) + config.rules.labels}")
     rows = []
+    state = SeriesState()
     with _snapshot_stream(config, releases) as snapshots:
         for snap in snapshots:
-            graphs = release_graphs(snap, config.rules, config.thresholds, DoaWeights())
+            graphs = release_graphs(snap, config.rules, config.thresholds, DoaWeights(),
+                                    state)
             rows.extend(network_row(snap.release.name, key, graph)
                         for key, graph in graphs.items())
     if edges_path or graph_path:  # --release is set, so `graphs` is that release's

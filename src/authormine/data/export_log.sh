@@ -19,6 +19,10 @@
 #   -M              detect renames so moves keep their history
 #   %an/%ae/%at     the commit *author*, never the committer
 #
+# The log is converted record by record as git writes it.  Author names
+# and emails that are not valid UTF-8 have their invalid bytes replaced
+# by U+FFFD, and one line on stderr says how many were.
+#
 # Histories split across repositories (e.g. pre-VCS archives) can be
 # exported separately and concatenated; feed the pieces oldest-first.
 set -eu
@@ -31,15 +35,39 @@ git -C "$REPO" log --reverse --topo-order -M --name-status \
 import json
 import sys
 
-records = sys.stdin.buffer.read().decode("utf-8", errors="replace").split("\x1e")
-for record in records:
-    record = record.strip("\n")
+replaced = 0
+
+
+def records(stream):
+    """Yield the raw \x1e-separated records of a byte stream as they arrive."""
+    pending = []
+    for chunk in iter(lambda: stream.read(1 << 16), b""):
+        *done, rest = chunk.split(b"\x1e")
+        if done:
+            yield b"".join(pending) + done[0]
+            yield from done[1:]
+            pending = []
+        pending.append(rest)
+    yield b"".join(pending)
+
+
+def text(raw):
+    global replaced
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        replaced += 1
+        return raw.decode("utf-8", errors="replace")
+
+
+for record in records(sys.stdin.buffer):
+    record = record.strip(b"\n")
     if not record:
         continue
-    head, _, body = record.partition("\n")
-    commit, name, email, ts = head.split("\x1f")
+    head, _, body = record.partition(b"\n")
+    commit, name, email, ts = head.split(b"\x1f")
     changes = []
-    for line in body.splitlines():
+    for line in body.decode("utf-8", errors="replace").splitlines():
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -56,6 +84,10 @@ for record in records:
             if kind is not None:
                 changes.append([kind, fields[1]])
     sys.stdout.write(json.dumps(
-        {"id": commit, "an": name, "ae": email, "ts": int(ts), "ch": changes},
+        {"id": commit.decode("ascii"), "an": text(name), "ae": text(email),
+         "ts": int(ts), "ch": changes},
         ensure_ascii=False) + "\n")
+if replaced:
+    sys.stderr.write(f"export_log.sh: {replaced} author names or emails were not "
+                     "valid UTF-8; their invalid bytes became U+FFFD\n")
 '

@@ -14,20 +14,21 @@ inequality on the normalized floor, inclusive on the absolute floor).
 
 `score_file` is the only place the rule is evaluated: it scores one
 file's counters, and `compute_authorship` applies it to every live file
-of a snapshot.  Floors and weights are parameters; the command line
-sets the floors and uses the default weights.
+of a snapshot that an earlier result does not already cover.  Floors and
+weights are parameters; the command line sets the floors and uses the
+default weights.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .ingest import DeveloperId
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .snapshot import ReleaseSnapshot
+    from .snapshot import FileCounters, ReleaseSnapshot
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +94,8 @@ class FileAuthorship:
     path: str
     scores: tuple[DevScore, ...]  # sorted by developer email
     authors: frozenset[DeveloperId]
+    # the frozen counters the scores were computed from
+    counters: "FileCounters | None" = field(default=None, compare=False, repr=False)
 
 
 def score_file(counters: Mapping[DeveloperId, FileDevCounters],
@@ -139,16 +142,30 @@ class AuthorshipMap:
 
 def compute_authorship(snapshot: "ReleaseSnapshot",
                        thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
-                       weights: DoaWeights = DEFAULT_WEIGHTS) -> AuthorshipMap:
-    """Score every live file of a snapshot, in path order."""
+                       weights: DoaWeights = DEFAULT_WEIGHTS,
+                       previous: "Mapping[int, FileAuthorship] | None" = None,
+                       ) -> AuthorshipMap:
+    """Score every live file of a snapshot, in path order.
+
+    `previous` holds results computed with the same floors and weights,
+    by file id.  One whose path is unchanged and whose counters object is
+    the snapshot's own is taken over as it is: a snapshot shares the
+    counters of every file untouched since the previous release.  Every
+    other live file is scored.
+    """
+    previous = previous or {}
     files: dict[int, FileAuthorship] = {}
     for path in sorted(snapshot.live):
         fid = snapshot.live[path]
-        try:
-            scores, authors = score_file(snapshot.counters_for(fid), thresholds, weights)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        files[fid] = FileAuthorship(fid, path, scores, authors)
+        counters = snapshot.files[fid]
+        fa = previous.get(fid)
+        if fa is None or fa.counters is not counters or fa.path != path:
+            try:
+                scores, authors = score_file(snapshot.counters_for(fid), thresholds, weights)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            fa = FileAuthorship(fid, path, scores, authors, counters)
+        files[fid] = fa
     return AuthorshipMap(files)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .doa import AuthorshipMap
 from .ingest import DeveloperId
 
 Edge = tuple[DeveloperId, DeveloperId]
@@ -61,20 +60,15 @@ class CoauthorGraph:
         return len(self.edges)
 
 
-def build_graph(authorship: AuthorshipMap, fids: "list[int]") -> CoauthorGraph:
-    """Co-authorship graph over the authors of the given live files.
+def build_graph(authors: Iterable[DeveloperId],
+                weights: Mapping[Edge, int]) -> CoauthorGraph:
+    """Co-authorship graph of one scope from its authors and the number of
+    live files each co-author pair shares there.
 
     An empty scope yields an empty graph.  Solitary authors (degree 0)
     are retained as vertices.
     """
-    vertices: set[DeveloperId] = set()
-    weights: dict[Edge, int] = {}
-    for fid in fids:
-        authors = sorted(authorship.files[fid].authors, key=DeveloperId.sort_key)
-        vertices.update(authors)
-        for pair in combinations(authors, 2):
-            weights[pair] = weights.get(pair, 0) + 1
-    return CoauthorGraph.assemble(vertices, weights)
+    return CoauthorGraph.assemble(authors, weights)
 
 
 def mean_degree(graph: CoauthorGraph) -> float:

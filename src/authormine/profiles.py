@@ -1,30 +1,18 @@
 """Specialist/generalist author profiles per subsystem.
 
 An author is a specialist when every live file they author lies in one
-subsystem, and a generalist otherwise.  Each author's subsystem set is
-read once per release from the labels `scope_partition` assigned.
+subsystem, and a generalist otherwise.  Each author's subsystems are
+read from counts that a release series keeps current
+(`series.SeriesState.subsystem_counts`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Mapping
 
-from .doa import AuthorshipMap
 from .ingest import DeveloperId
 from .workload import AuthorCounts
-
-
-def author_subsystems(authorship: AuthorshipMap, partition: "dict[str | None, list[int]]",
-                      ) -> dict[DeveloperId, set[str]]:
-    """Subsystem labels of each author's live files; the None (All) scope is skipped."""
-    labels: dict[DeveloperId, set[str]] = {}
-    for scope, fids in partition.items():
-        if scope is None:
-            continue
-        for fid in fids:
-            for dev in authorship.files[fid].authors:
-                labels.setdefault(dev, set()).add(scope)
-    return labels
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +25,8 @@ class ProfileBreakdown:
 
 
 def profile_proportions(counts: AuthorCounts,
-                        subsystems: "dict[DeveloperId, set[str]]") -> ProfileBreakdown:
+                        subsystems: "Mapping[DeveloperId, Collection[str]]",
+                        ) -> ProfileBreakdown:
     """Specialist/generalist split among the authors of one scope.
 
     Scope membership follows authored-file location (the keys of the

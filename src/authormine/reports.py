@@ -12,17 +12,18 @@ import csv
 import hashlib
 import json
 from json.encoder import encode_basestring
-from typing import IO, Iterable, Sequence
+from typing import IO, Collection, Iterable, Mapping, Sequence
 
 from .doa import AuthorshipMap, DoaThresholds, DoaWeights, compute_authorship
 from .ingest import DeveloperId
 from .network import (CoauthorGraph, assortativity, build_graph, clustering_avg_local,
                       clustering_global, mean_degree, solitary_authors)
-from .profiles import author_subsystems, profile_proportions
+from .profiles import profile_proportions
+from .series import SeriesState
 from .snapshot import ReleaseSnapshot
 from .subsystems import SubsystemRules, scope_partition
-from .workload import (AuthorCounts, adjusted_fences, author_file_counts, files_per_author,
-                       gini, medcouple, quantile, top_k_share)
+from .workload import (AuthorCounts, adjusted_fences, files_per_author, gini, medcouple,
+                       quantile, top_k_share)
 
 SCOPE_ALL = "All"
 
@@ -56,16 +57,21 @@ def scope_name(scope: "str | None") -> str:
     return SCOPE_ALL if scope is None else scope
 
 
-def authorship_rows(release_name: str, authorship: AuthorshipMap) -> list[list[str]]:
-    rows = []
+def authorship_rows(release_name: str, authorship: AuthorshipMap,
+                    tails: "dict[int, list[tuple[str, ...]]]") -> list[tuple[str, ...]]:
+    """The authorship rows of one release.  `tails` holds each file's rows
+    without the release column, by file id; a file found there is not
+    formatted again, and one that is not is formatted and added."""
+    rows: list[tuple[str, ...]] = []
+    prefix = (release_name,)
     for fa in authorship:
-        for s in fa.scores:
-            rows.append([
-                release_name, fa.path, s.developer.email,
-                str(s.fa), str(s.dl), str(s.ac),
-                fmt_float(s.doa_abs), fmt_float(s.doa_norm),
-                "1" if s.is_author else "0",
-            ])
+        rendered = tails.get(fa.fid)
+        if rendered is None:
+            rendered = tails[fa.fid] = [
+                (fa.path, s.developer.email, str(s.fa), str(s.dl), str(s.ac),
+                 fmt_float(s.doa_abs), fmt_float(s.doa_norm), "1" if s.is_author else "0")
+                for s in fa.scores]
+        rows.extend(map(prefix.__add__, rendered))
     return rows
 
 
@@ -96,7 +102,7 @@ def workload_row(release_name: str, scope: "str | None",
 
 
 def profiles_row(release_name: str, scope: "str | None", counts: AuthorCounts,
-                 subsystems: "dict[DeveloperId, set[str]]") -> list[str]:
+                 subsystems: "Mapping[DeveloperId, Collection[str]]") -> list[str]:
     if not counts:
         return [release_name, scope_name(scope), "0", "0", "0", "NA"]
     breakdown = profile_proportions(counts, subsystems)
@@ -122,41 +128,67 @@ def network_row(release_name: str, scope: "str | None",
     ]
 
 
+def advance(state: SeriesState, snapshot: ReleaseSnapshot, rules: SubsystemRules,
+            thresholds: DoaThresholds, weights: DoaWeights,
+            ) -> "tuple[AuthorshipMap, dict[str | None, list[int]]]":
+    """Bring `state` to `snapshot` and return its results and scope partition.
+
+    Only files whose counters or path changed since the state's last
+    snapshot are scored and counted again.
+    """
+    state.bind((rules, thresholds, weights))
+    authorship = compute_authorship(snapshot, thresholds, weights, state.authorship.files)
+    partition = scope_partition(snapshot, rules, state.labels)
+    state.update(snapshot, authorship)
+    return authorship, partition
+
+
+def _graph(state: SeriesState, scope: "str | None") -> CoauthorGraph:
+    return build_graph(state.author_counts.get(scope, {}), state.edge_weights.get(scope, {}))
+
+
 def release_report(snapshot: ReleaseSnapshot, rules: SubsystemRules,
                    thresholds: DoaThresholds, weights: DoaWeights,
-                   ) -> tuple[list[list[str]], ...]:
-    """All report rows for one release, one list per REPORTS entry, scopes All-first."""
-    authorship = compute_authorship(snapshot, thresholds, weights)
-    partition = scope_partition(snapshot, rules)
-    subsystems = author_subsystems(authorship, partition)
+                   state: "SeriesState | None" = None) -> tuple[list[Sequence[str]], ...]:
+    """All report rows for one release, one list per REPORTS entry, scopes All-first.
+
+    `state` carries a release series over from its previous release; the
+    release is computed from an empty state without one.
+    """
+    state = SeriesState() if state is None else state
+    authorship, partition = advance(state, snapshot, rules, thresholds, weights)
     name = snapshot.release.name
     workload_rows = []
     profile_rows = []
     network_rows = []
     for scope, fids in partition.items():
-        counts = author_file_counts(authorship, fids)
+        counts = state.author_counts.get(scope, {})
         workload_rows.append(workload_row(name, scope, counts, len(fids)))
-        profile_rows.append(profiles_row(name, scope, counts, subsystems))
-        network_rows.append(network_row(name, scope, build_graph(authorship, fids)))
-    return authorship_rows(name, authorship), workload_rows, profile_rows, network_rows
+        profile_rows.append(profiles_row(name, scope, counts, state.subsystem_counts))
+        network_rows.append(network_row(name, scope, _graph(state, scope)))
+    return (authorship_rows(name, authorship, state.tails), workload_rows, profile_rows,
+            network_rows)
 
 
 def release_workload(snapshot: ReleaseSnapshot, rules: SubsystemRules,
-                     thresholds: DoaThresholds, weights: DoaWeights) -> list[list[str]]:
+                     thresholds: DoaThresholds, weights: DoaWeights,
+                     state: "SeriesState | None" = None) -> list[list[str]]:
     """The workload rows of one release and nothing else, as `stats` prints them."""
-    authorship = compute_authorship(snapshot, thresholds, weights)
-    return [workload_row(snapshot.release.name, scope,
-                         author_file_counts(authorship, fids), len(fids))
-            for scope, fids in scope_partition(snapshot, rules).items()]
+    state = SeriesState() if state is None else state
+    _, partition = advance(state, snapshot, rules, thresholds, weights)
+    return [workload_row(snapshot.release.name, scope, state.author_counts.get(scope, {}),
+                         len(fids))
+            for scope, fids in partition.items()]
 
 
 def release_graphs(snapshot: ReleaseSnapshot, rules: SubsystemRules,
                    thresholds: DoaThresholds, weights: DoaWeights,
+                   state: "SeriesState | None" = None,
                    ) -> "dict[str | None, CoauthorGraph]":
     """The co-authorship graph of each scope of one release, All first."""
-    authorship = compute_authorship(snapshot, thresholds, weights)
-    return {scope: build_graph(authorship, fids)
-            for scope, fids in scope_partition(snapshot, rules).items()}
+    state = SeriesState() if state is None else state
+    _, partition = advance(state, snapshot, rules, thresholds, weights)
+    return {scope: _graph(state, scope) for scope in partition}
 
 
 def edge_rows(graph: CoauthorGraph) -> list[list[str]]:

@@ -9,8 +9,11 @@ following enabled, counters survive file moves; with it disabled a
 rename is a delete plus a fresh creation.
 
 Accumulation is strictly sequential.  Snapshots taken at release
-boundaries are frozen copies, safe to share across threads and feed to
-any number of concurrent downstream analytics.
+boundaries are frozen, safe to share across threads and feed to any
+number of concurrent downstream analytics.  A snapshot shares the frozen
+counters of every file untouched since the previous release with that
+release's snapshot, so a file's counters object changes exactly when
+its counters or its life (creation, deletion, move) do.
 """
 
 from __future__ import annotations
@@ -77,6 +80,10 @@ class _Accumulator:
         self.live: dict[str, int] = {}
         self.devs: set[DeveloperId] = set()
         self._next_fid = 0
+        # file ids delivered since the last freeze (every create, delete and
+        # move delivers), and the counters that freeze handed out last
+        self.dirty: set[int] = set()
+        self.frozen: dict[int, FileCounters] = {}
 
     def _deliver(self, fid: int, dev: DeveloperId, delivered: set[int]) -> None:
         # at most one delivery per (commit, logical file)
@@ -156,12 +163,16 @@ class _Accumulator:
             else:
                 self._rename(record.commit_id, change.path, change.old_path,
                              record.author, delivered)
+        self.dirty |= delivered
 
     def freeze(self, release: ReleaseTag) -> ReleaseSnapshot:
-        files = {
-            fid: FileCounters(state.creator, state.total, dict(state.deliveries))
-            for fid, state in self.files.items()
-        }
+        """Freeze the dirty files anew; every other file keeps its last counters object."""
+        files = dict(self.frozen)
+        for fid in sorted(self.dirty):  # new ids join in id order
+            state = self.files[fid]
+            files[fid] = FileCounters(state.creator, state.total, dict(state.deliveries))
+        self.dirty.clear()
+        self.frozen = files
         return ReleaseSnapshot(release, dict(self.live), files, frozenset(self.devs))
 
 

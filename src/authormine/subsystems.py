@@ -99,14 +99,23 @@ def subsystem_sizes(snapshot: ReleaseSnapshot, rules: SubsystemRules,
 
 
 def scope_partition(snapshot: ReleaseSnapshot, rules: SubsystemRules,
+                    labels: "dict[str, str] | None" = None,
                     ) -> "dict[str | None, list[int]]":
     """Live file ids per scope: key None is the whole snapshot, then one
-    key per label in rules order.  File ids are ordered by live path."""
+    key per label in rules order.  File ids are ordered by live path.
+
+    `labels` memoizes `rules.classify` by path: a path found there is not
+    classified again, and one that is not is classified and added.
+    """
+    labels = {} if labels is None else labels
     partition: dict[str | None, list[int]] = {None: []}
     for label in rules.labels:
         partition[label] = []
     for path in sorted(snapshot.live):
         fid = snapshot.live[path]
+        label = labels.get(path)
+        if label is None:
+            label = labels[path] = rules.classify(path)
         partition[None].append(fid)
-        partition[rules.classify(path)].append(fid)
+        partition[label].append(fid)
     return partition

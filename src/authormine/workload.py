@@ -14,22 +14,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .doa import AuthorshipMap
 from .ingest import DeveloperId
 
 WorkloadSample = Sequence[float]
+# authored live files per author in one scope, the one table that the
+# workload and profile statistics of a scope read
 AuthorCounts = Mapping[DeveloperId, int]
-
-
-def author_file_counts(authorship: AuthorshipMap, fids: "list[int]",
-                       ) -> dict[DeveloperId, int]:
-    """Authored-file count per author among the given live files: the one
-    table that the workload and profile statistics of a scope read."""
-    counts: dict[DeveloperId, int] = {}
-    for fid in fids:
-        for dev in authorship.files[fid].authors:
-            counts[dev] = counts.get(dev, 0) + 1
-    return counts
 
 
 def files_per_author(counts: AuthorCounts) -> list[int]:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 
 from authormine import (AuthorshipMap, ChangeKind, CommitRecord, CoauthorGraph,
-                        DeveloperId, FileChange, ReleaseSnapshot, compute_authorship)
+                        DeveloperId, DoaThresholds, DoaWeights, FileChange,
+                        ReleaseSnapshot, SeriesState, compute_authorship, default_rules)
+from authormine.reports import advance
 
 
 def dev(i: int) -> DeveloperId:
@@ -89,6 +91,15 @@ def canonical_snapshot_json(snapshot: ReleaseSnapshot) -> str:
         "devs": sorted(f"{d.name}|{d.email}" for d in snapshot.developer_universe),
     }
     return json.dumps(payload, sort_keys=True)
+
+
+def counted(snapshot: ReleaseSnapshot, rules=None) -> tuple[SeriesState, dict]:
+    """A series state brought from empty to one snapshot, whose counts are
+    then that snapshot's alone, and the snapshot's scope partition."""
+    state = SeriesState()
+    _, partition = advance(state, snapshot, rules or default_rules(), DoaThresholds(),
+                           DoaWeights())
+    return state, partition
 
 
 def view_at(records, release, follow_renames=True):

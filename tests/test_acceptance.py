@@ -11,15 +11,14 @@ from contextlib import contextmanager
 import pytest
 
 from authormine import (DoaThresholds, DoaWeights, FileDevCounters, ReleaseTag,
-                        assortativity, author_file_counts, author_subsystems,
-                        clustering_avg_local, clustering_global, compute_authorship,
-                        doa_absolute, gini, iter_snapshots, make_rules, mean_degree,
-                        medcouple, profile_proportions, scope_partition, score_file,
-                        snapshot_at, solitary_authors, default_rules)
+                        assortativity, clustering_avg_local, clustering_global,
+                        compute_authorship, doa_absolute, gini, iter_snapshots,
+                        make_rules, mean_degree, medcouple, profile_proportions,
+                        score_file, snapshot_at, solitary_authors, default_rules)
 from authormine.cli import main
 import oracles
 from conftest import GOLDEN_DIR
-from helpers import (assert_views_match, dev, engine_view, graph_from_data,
+from helpers import (assert_views_match, counted, dev, engine_view, graph_from_data,
                      records_from_oracle)
 from test_cli import CSV_NAMES, base_args
 
@@ -188,21 +187,18 @@ def test_criterion_7_profile_partition_property():
             snap = snapshot_at(records, ReleaseTag("r", records[-1].commit_id))
             if not snap.live:
                 continue
-            authorship = compute_authorship(snap)
-            partition = scope_partition(snap, rules)
-            subsystems = author_subsystems(authorship, partition)
-            for fids in partition.values():
+            state, partition = counted(snap, rules)
+            for scope, fids in partition.items():
                 if not fids:
                     continue
-                result = profile_proportions(author_file_counts(authorship, fids),
-                                             subsystems)
+                result = profile_proportions(state.author_counts[scope],
+                                             state.subsystem_counts)
                 assert result.specialists + result.generalists == result.n_authors
                 assert abs(result.specialist_pct + result.generalist_pct
                            - 100.0) <= 1e-9
-            merged_partition = scope_partition(snap, merged)
-            merged_result = profile_proportions(
-                author_file_counts(authorship, merged_partition[None]),
-                author_subsystems(authorship, merged_partition))
+            merged_state, _ = counted(snap, merged)
+            merged_result = profile_proportions(merged_state.author_counts[None],
+                                                merged_state.subsystem_counts)
             assert merged_result.specialist_pct == 100.0
             assert merged_result.generalists == 0
             checked += 1

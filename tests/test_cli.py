@@ -2,7 +2,12 @@
 
 import csv
 import json
+import logging
+import os
+import subprocess
+import sys
 
+from authormine import iter_snapshots
 from authormine.cli import main
 from conftest import (FIXTURE_ALIASES, FIXTURE_LOG, FIXTURE_RELEASES, GOLDEN_DIR)
 
@@ -71,6 +76,45 @@ class TestAnalyze:
                      "-o", str(out), "--json"])
         assert code == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_run_without_json_removes_stale_mirrors(self, tmp_path):
+        assert run_analyze(tmp_path, ["--json"]) == 0
+        assert (tmp_path / "workload.json").is_file()
+        assert run_analyze(tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        listed = {o["name"] for o in manifest["outputs"]}
+        assert listed == set(CSV_NAMES)
+        assert {p.name for p in tmp_path.iterdir()} == listed | {"manifest.json"}
+
+    def test_stage_of_a_killed_run_is_swept(self, tmp_path):
+        finished = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                                  check=True, capture_output=True, text=True)
+        dead = tmp_path / f".authormine-{int(finished.stdout)}-k1ll3d"
+        dead.mkdir()
+        (dead / "authorship.csv").write_text("partial\n")
+        running = tmp_path / f".authormine-{os.getppid()}-runn1ng"
+        running.mkdir()
+        assert run_analyze(tmp_path) == 0
+        assert not dead.exists()
+        assert running.is_dir()
+
+    def test_verbose_names_rescored_files(self, tmp_path, caplog, fixture_records,
+                                          fixture_releases):
+        # a live file is rescored when its path or its counters changed
+        # since the previous release
+        expected = []
+        previous = {}
+        for snap in iter_snapshots(fixture_records, fixture_releases):
+            current = {fid: (path, snap.files[fid]) for path, fid in snap.live.items()}
+            changed = sum(previous.get(fid) != state for fid, state in current.items())
+            expected.append(f"release {snap.release.name} done: {changed} of "
+                            f"{len(current)} live files rescored")
+            previous = current
+        with caplog.at_level(logging.INFO, logger="authormine.cli"):
+            assert main(["-v", "analyze", *base_args(), "-o", str(tmp_path)]) == 0
+        logged = [r.getMessage() for r in caplog.records if r.name == "authormine.cli"]
+        assert logged == expected
+        assert 0 < int(expected[-1].split()[3]) < len(current)
 
     def test_missing_releases_file_fails_fast(self, tmp_path):
         out = tmp_path / "out"

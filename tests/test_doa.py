@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from authormine import (DoaThresholds, DoaWeights, FileDevCounters, ReleaseTag,
-                        author_file_counts, author_proportion, compute_authorship,
-                        doa_absolute, score_file, snapshot_at)
+                        author_proportion, compute_authorship, doa_absolute, score_file,
+                        snapshot_at)
 import oracles
-from helpers import (assert_views_match, dev, engine_view, make_record,
+from helpers import (assert_views_match, counted, dev, engine_view, make_record,
                      records_from_oracle)
 
 counters_strategy = st.builds(
@@ -158,7 +158,7 @@ class TestAuthorshipMap:
     def test_authored_files_index(self, fixture_records, fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])
         authorship = compute_authorship(snap)
-        counts = author_file_counts(authorship, list(snap.live.values()))
+        counts = counted(snap)[0].author_counts[None]
         assert set(counts) == {d for fa in authorship for d in fa.authors}
         for developer, n in counts.items():
             assert n == sum(developer in fa.authors for fa in authorship)

@@ -1,6 +1,7 @@
 """Integration test for the bundled git-to-NDJSON export script."""
 
 import io
+import os
 import shutil
 import subprocess
 
@@ -13,9 +14,9 @@ pytestmark = pytest.mark.skipif(shutil.which("git") is None,
                                 reason="git not available")
 
 
-def git(repo, *args, env_extra=None):
+def git(repo, *args, env=None):
     subprocess.run(["git", "-C", str(repo), *args], check=True,
-                   capture_output=True)
+                   capture_output=True, env=env)
 
 
 @pytest.fixture
@@ -48,6 +49,7 @@ def test_export_script_round_trips(tiny_repo, tmp_path, capsys):
 
     result = subprocess.run(["sh", str(script), str(tiny_repo)],
                             check=True, capture_output=True, text=True)
+    assert result.stderr == ""  # every name and email was valid UTF-8
     records = list(parse_commit_log(io.StringIO(result.stdout)))
     assert len(records) == 5
     assert all(r.author.email == "test@example.org" for r in records)
@@ -86,3 +88,52 @@ def test_merge_commit_closes_release(tiny_repo, tmp_path, capsys):
     assert main(["stats", "--log", str(log), "--releases", str(releases)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("v1,All,1,")  # one author, of c.c and d.c
+
+
+def test_invalid_utf8_author_is_replaced_and_counted(tiny_repo, tmp_path, capsys):
+    # a project that records and logs in Latin-1: git hands the name's raw
+    # 0xff byte on, which is not UTF-8
+    git(tiny_repo, "config", "i18n.commitEncoding", "ISO-8859-1")
+    git(tiny_repo, "config", "i18n.logOutputEncoding", "ISO-8859-1")
+    (tiny_repo / "src" / "e.c").write_text("e\n")
+    git(tiny_repo, "add", ".")
+    env = dict(os.environb, GIT_AUTHOR_NAME=b"Bad \xff Name",
+               GIT_AUTHOR_EMAIL=b"bad@example.org")
+    git(tiny_repo, "commit", "-qm", "six", env=env)
+
+    assert main(["export-log-helper"]) == 0
+    script = tmp_path / "export.sh"
+    script.write_text(capsys.readouterr().out)
+    result = subprocess.run(["sh", str(script), str(tiny_repo)], check=True,
+                            capture_output=True)
+    records = list(parse_commit_log(io.BytesIO(result.stdout)))
+    assert len(records) == 6
+    assert records[-1].author.name == "Bad \ufffd Name"
+    assert records[-1].author.email == "bad@example.org"
+    assert [c.path for c in records[-1].changes] == ["src/e.c"]
+    warnings = result.stderr.decode().splitlines()
+    assert len(warnings) == 1
+    assert warnings[0].startswith("export_log.sh: 1 author names or emails")
+
+
+def test_record_longer_than_a_read_chunk(tiny_repo, tmp_path, capsys):
+    # the script reads git's output in 64 KiB chunks; this commit's record
+    # alone spans two of them
+    names = [f"drivers/generated/{'x' * 40}{i:04d}.c" for i in range(1600)]
+    (tiny_repo / "drivers" / "generated").mkdir(parents=True)
+    for name in names:
+        (tiny_repo / name).write_text("g\n")
+    git(tiny_repo, "add", ".")
+    git(tiny_repo, "commit", "-qm", "bulk")
+    (tiny_repo / "src" / "c.c").write_text("c2\n")
+    git(tiny_repo, "commit", "-qam", "after")
+
+    assert main(["export-log-helper"]) == 0
+    script = tmp_path / "export.sh"
+    script.write_text(capsys.readouterr().out)
+    result = subprocess.run(["sh", str(script), str(tiny_repo)], check=True,
+                            capture_output=True)
+    records = list(parse_commit_log(io.BytesIO(result.stdout)))
+    assert len(records) == 7
+    assert sorted(c.path for c in records[5].changes) == names
+    assert [c.path for c in records[6].changes] == ["src/c.c"]

@@ -5,9 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from authormine import (CoauthorGraph, ReleaseTag, assortativity, build_graph,
-                        clustering_avg_local, clustering_global, compute_authorship,
-                        mean_degree, snapshot_at, solitary_authors)
+from authormine import (CoauthorGraph, DoaThresholds, DoaWeights, ReleaseTag,
+                        assortativity, clustering_avg_local, clustering_global,
+                        default_rules, mean_degree, snapshot_at, solitary_authors)
+from authormine.reports import release_graphs
 import oracles
 from helpers import dev, graph_from_data, make_record
 
@@ -25,7 +26,9 @@ TWO_ISOLATED = graph_of([], 2)
 TRIANGLE_PENDANT = graph_of([(0, 1), (0, 2), (1, 2), (2, 3)], 4)
 
 
-def coauthored(commit_spec):
+def coauthored(commit_spec, scope=None):
+    """The co-authorship graph of one scope (All by default) of the snapshot
+    after {path: [devs in commit order]}, the first developer creating."""
     records = []
     i = 0
     for path, devs in commit_spec.items():
@@ -34,8 +37,7 @@ def coauthored(commit_spec):
             records.append(make_record(f"c{i:03d}", d, i,
                                        [("A" if j == 0 else "M", path)]))
     snap = snapshot_at(records, ReleaseTag("r", f"c{i:03d}"))
-    authorship = compute_authorship(snap)
-    return build_graph(authorship, sorted(snap.live.values()))
+    return release_graphs(snap, default_rules(), DoaThresholds(), DoaWeights())[scope]
 
 
 def three_author_history():
@@ -56,11 +58,7 @@ class TestBuildGraph:
         assert graph.n_edges == 0
 
     def test_empty_scope_is_empty_graph(self):
-        _, = (coauthored({"a.c": [dev(1)]}),)
-        snap_graph = build_graph(
-            compute_authorship(snapshot_at(
-                [make_record("c1", dev(1), 1, [("A", "a.c")])],
-                ReleaseTag("r", "c1"))), [])
+        snap_graph = coauthored({"a.c": [dev(1)]}, scope="Net")
         assert snap_graph.n_vertices == 0
         assert snap_graph.n_edges == 0
 

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from authormine import (ReleaseTag, author_file_counts, author_subsystems,
-                        compute_authorship, default_rules, make_rules,
-                        profile_proportions, scope_partition, snapshot_at)
+from authormine import (ReleaseTag, default_rules, make_rules, profile_proportions,
+                        snapshot_at)
 import oracles
-from helpers import dev, make_record, records_from_oracle
+from helpers import counted, dev, make_record, records_from_oracle
 
 
 def build(commit_spec):
@@ -19,43 +18,41 @@ def build(commit_spec):
             i += 1
             records.append(make_record(f"c{i:03d}", d, i,
                                        [("A" if j == 0 else "M", path)]))
-    snap = snapshot_at(records, ReleaseTag("r", f"c{i:03d}"))
-    return snap, compute_authorship(snap)
+    return snapshot_at(records, ReleaseTag("r", f"c{i:03d}"))
 
 
-def profiles(snap, authorship, rules=None):
-    """Scope partition, each author's subsystem set and a per-scope breakdown."""
-    partition = scope_partition(snap, rules or default_rules())
-    subsystems = author_subsystems(authorship, partition)
+def profiles(snap, rules=None):
+    """Each author's authored files per subsystem and a per-scope breakdown."""
+    state, _ = counted(snap, rules)
 
     def breakdown(scope):
-        return profile_proportions(author_file_counts(authorship, partition[scope]),
-                                   subsystems)
-    return subsystems, breakdown
+        return profile_proportions(state.author_counts.get(scope, {}),
+                                   state.subsystem_counts)
+    return state.subsystem_counts, breakdown
 
 
 class TestClassifyAuthor:
     def test_driver_only_is_specialist(self):
         subsystems, breakdown = profiles(
-            *build({"drivers/a.c": [dev(1)], "drivers/b.c": [dev(1)]}))
-        assert subsystems[dev(1)] == {"Driver"}
+            build({"drivers/a.c": [dev(1)], "drivers/b.c": [dev(1)]}))
+        assert subsystems[dev(1)] == {"Driver": 2}
         assert breakdown(None).specialists == 1
 
     def test_two_subsystems_is_generalist(self):
-        subsystems, breakdown = profiles(*build({"fs/a.c": [dev(1)], "net/b.c": [dev(1)]}))
-        assert subsystems[dev(1)] == {"Fs", "Net"}
+        subsystems, breakdown = profiles(build({"fs/a.c": [dev(1)], "net/b.c": [dev(1)]}))
+        assert subsystems[dev(1)] == {"Fs": 1, "Net": 1}
         assert breakdown(None).generalists == 1
 
     def test_non_author_rejected(self):
         # dev 2 changes a file dominated by dev 1 and authors nothing
-        subsystems, breakdown = profiles(*build({"fs/a.c": [dev(1)] * 20 + [dev(2)]}))
+        subsystems, breakdown = profiles(build({"fs/a.c": [dev(1)] * 20 + [dev(2)]}))
         assert set(subsystems) == {dev(1)}
         assert breakdown(None).n_authors == 1
 
 
 class TestProfileProportions:
     def test_even_split_in_scope(self):
-        _, breakdown = profiles(*build({
+        _, breakdown = profiles(build({
             "drivers/a.c": [dev(1)],
             "drivers/b.c": [dev(2)],
             "fs/c.c": [dev(2)],
@@ -68,21 +65,21 @@ class TestProfileProportions:
     def test_kind_is_judged_globally(self):
         # dev 1 owns one Core file and one Driver file: a generalist even
         # when viewed from the Core scope
-        _, breakdown = profiles(*build({"kernel/a.c": [dev(1)], "drivers/b.c": [dev(1)]}))
+        _, breakdown = profiles(build({"kernel/a.c": [dev(1)], "drivers/b.c": [dev(1)]}))
         result = breakdown("Core")
         assert result.n_authors == 1
         assert result.specialists == 0
         assert result.generalists == 1
 
     def test_empty_scope_rejected(self):
-        _, breakdown = profiles(*build({"fs/a.c": [dev(1)]}))
+        _, breakdown = profiles(build({"fs/a.c": [dev(1)]}))
         with pytest.raises(ValueError):
             breakdown("Net")
 
     def test_fixture_matches_golden_expectations(self, fixture_records,
                                                  fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])
-        _, breakdown = profiles(snap, compute_authorship(snap))
+        _, breakdown = profiles(snap)
         result = breakdown(None)
         assert result.n_authors == 6
         assert result.specialists == 3  # bob (Driver), dan (Net), frank (Misc)
@@ -101,15 +98,14 @@ class TestPartitionProperties:
             snap = snapshot_at(records, ReleaseTag("r", records[-1].commit_id))
             if not snap.live:
                 continue
-            authorship = compute_authorship(snap)
-            _, breakdown = profiles(snap, authorship, rules)
-            for scope, fids in scope_partition(snap, rules).items():
+            _, breakdown = profiles(snap, rules)
+            for scope, fids in counted(snap, rules)[1].items():
                 if not fids:
                     continue
                 result = breakdown(scope)
                 assert result.specialists + result.generalists == result.n_authors
                 assert result.specialist_pct + result.generalist_pct == \
                     pytest.approx(100.0, abs=1e-9)
-            _, merged_breakdown = profiles(snap, authorship, merged)
+            _, merged_breakdown = profiles(snap, merged)
             assert merged_breakdown(None).specialist_pct == 100.0
             checked += 1

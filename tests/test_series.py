@@ -1,0 +1,124 @@
+"""An incremental release series equals each release computed from an empty state."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from authormine import (DoaThresholds, DoaWeights, ReleaseTag, SeriesState, default_rules,
+                        doa, iter_snapshots, snapshot_at)
+from authormine.reports import release_report
+import oracles
+from helpers import counted, dev, make_record
+
+RULES = default_rules()
+THRESHOLDS = DoaThresholds()
+WEIGHTS = DoaWeights()
+
+
+def gen_series(rng):
+    """A history over a small path pool with the events a series must carry
+    across releases: renames onto live paths, deletes followed by re-adds of
+    the same path, and empty commits; plus 1-6 releases, some sharing a
+    boundary, some ending on an empty commit."""
+    pool = oracles.POOL_PATHS
+    devs = [dev(i) for i in range(rng.randint(1, 4))]
+    live: set[str] = set()
+    records = []
+    for i in range(rng.randint(1, 30)):
+        changes = []
+        touched: set[str] = set()
+        for _ in range(0 if rng.random() < 0.15 else rng.randint(1, 3)):
+            free = [p for p in pool if p not in live and p not in touched]
+            editable = sorted(live - touched)
+            ops = ["A"] * bool(free) + ["M", "M", "D"] * bool(editable) \
+                + ["R"] * bool(free and editable) + ["RL"] * (len(editable) >= 2)
+            if not ops:
+                break
+            kind = rng.choice(ops)
+            if kind == "A":
+                change = ("A", rng.choice(free))
+                live.add(change[1])
+            elif kind in ("M", "D"):
+                change = (kind, rng.choice(editable))
+                if kind == "D":
+                    live.discard(change[1])
+            else:  # a move to a free path, or onto another live path
+                old, new = rng.sample(editable, 2) if kind == "RL" \
+                    else (rng.choice(editable), rng.choice(free))
+                live.discard(old)
+                live.add(new)
+                change = ("R", new, old)
+            changes.append(change)
+            touched.update(change[1:])
+        records.append(make_record(f"c{i:03d}", rng.choice(devs), i + 1, changes))
+    ends = sorted(rng.choices(range(len(records)), k=rng.randint(1, 6)))
+    releases = [ReleaseTag(f"r{k}", records[i].commit_id) for k, i in enumerate(ends)]
+    return records, releases
+
+
+def nonzero(counts):
+    """A count table without the scopes or authors that hold nothing."""
+    return {key: value for key, value in counts.items() if value}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
+    records, releases = gen_series(rng)
+    state = SeriesState()
+    snapshots = list(iter_snapshots(records, releases, follow_renames))
+    for k, snap in enumerate(snapshots):
+        scratch = snapshot_at(records, snap.release, follow_renames)
+        # every third release the state is handed a snapshot of another
+        # accumulator, which shares no counters object with the series
+        fed = scratch if k % 3 == 2 else snap
+        rows = release_report(fed, RULES, THRESHOLDS, WEIGHTS, state)
+        assert rows == release_report(scratch, RULES, THRESHOLDS, WEIGHTS)
+
+        fresh, _ = counted(scratch)
+        assert nonzero(state.author_counts) == nonzero(fresh.author_counts)
+        assert nonzero(state.edge_weights) == nonzero(fresh.edge_weights)
+        assert state.subsystem_counts == fresh.subsystem_counts
+        # entries of files that died are gone
+        assert set(state.labels) == set(snap.live)
+        assert set(state.tails) == set(state.authorship.files) == set(snap.live.values())
+
+
+def test_series_rescores_only_changed_files(monkeypatch):
+    scored = []
+    score_file = doa.score_file
+    monkeypatch.setattr(doa, "score_file",
+                        lambda *args: scored.append(1) or score_file(*args))
+    records = [
+        make_record("c1", dev(1), 1, [("A", "drivers/a.c"), ("A", "fs/b.c"),
+                                      ("A", "net/c.c")]),
+        make_record("c2", dev(2), 2, [("M", "fs/b.c")]),
+        make_record("c3", dev(2), 3, []),  # empty commit
+        make_record("c4", dev(1), 4, [("R", "net/d.c", "net/c.c")]),
+    ]
+    releases = [ReleaseTag("r1", "c1"), ReleaseTag("r2", "c2"), ReleaseTag("r3", "c3"),
+                ReleaseTag("r3-again", "c3"), ReleaseTag("r4", "c4")]
+    state = SeriesState()
+    rescored = []
+    for snap in iter_snapshots(records, releases):
+        scored.clear()
+        release_report(snap, RULES, THRESHOLDS, WEIGHTS, state)
+        assert len(scored) == state.rescored
+        rescored.append(state.rescored)
+    # no commit, or only an empty one, since the previous release: nothing
+    assert rescored == [3, 1, 0, 0, 1]
+
+
+def test_state_serves_one_setting():
+    snap = snapshot_at([make_record("c1", dev(1), 1, [("A", "a.c")])],
+                       ReleaseTag("r", "c1"))
+    state = SeriesState()
+    release_report(snap, RULES, THRESHOLDS, WEIGHTS, state)
+    with pytest.raises(ValueError, match="one setting"):
+        release_report(snap, RULES, DoaThresholds(normalized_floor=0.5), WEIGHTS, state)
+
+
+def test_fixture_series_matches_per_release(fixture_records, fixture_releases):
+    state = SeriesState()
+    for snap in iter_snapshots(fixture_records, fixture_releases):
+        assert release_report(snap, RULES, THRESHOLDS, WEIGHTS, state) == \
+            release_report(snap, RULES, THRESHOLDS, WEIGHTS)

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from authormine import (DoaThresholds, DoaWeights, ReleaseTag, adjusted_fences,
-                        author_file_counts, compute_authorship, default_rules,
-                        files_per_author, gini, medcouple, outliers, quantile,
-                        snapshot_at, top_k_share)
+                        compute_authorship, default_rules, files_per_author, gini,
+                        medcouple, outliers, quantile, snapshot_at, top_k_share)
 from authormine import reports, workload
 import oracles
-from helpers import dev, make_record
+from helpers import counted, dev, make_record
 
 samples = st.lists(st.integers(0, 1000), min_size=1, max_size=60)
 positive_samples = st.lists(st.integers(1, 1000), min_size=1, max_size=60)
@@ -32,10 +31,12 @@ def authorship_for(commit_spec):
     return snap, compute_authorship(snap)
 
 
-def scope_counts(commit_spec):
-    """Author counts over every live file, and the live file count."""
-    snap, authorship = authorship_for(commit_spec)
-    return author_file_counts(authorship, list(snap.live.values())), len(snap.live)
+def scope_counts(commit_spec, scope=None):
+    """Author counts over the live files of one scope (All by default), and
+    the scope's live file count."""
+    snap, _ = authorship_for(commit_spec)
+    state, partition = counted(snap)
+    return state.author_counts.get(scope, {}), len(partition[scope])
 
 
 class TestFilesPerAuthor:
@@ -51,8 +52,9 @@ class TestFilesPerAuthor:
         assert files_per_author(counts) == [4]
 
     def test_empty_scope_gives_empty_sample(self):
-        _, authorship = authorship_for({"a.c": [dev(1)]})
-        assert files_per_author(author_file_counts(authorship, [])) == []
+        counts, n_files = scope_counts({"a.c": [dev(1)]}, scope="Net")
+        assert n_files == 0
+        assert files_per_author(counts) == []
 
 
 class TestQuantile:
@@ -224,12 +226,11 @@ class TestTopKShare:
 
     def test_shares_can_exceed_one(self):
         # one file with two authors: each owns 100% of the single live file
-        snap, authorship = authorship_for({"a.c": [dev(1), dev(2), dev(2),
-                                                   dev(1), dev(2), dev(1)]})
-        fids = sorted(snap.live.values())
-        authors = authorship.files[fids[0]].authors
-        assert len(authors) == 2
-        top = top_k_share(author_file_counts(authorship, fids), len(fids), 10)
+        spec = {"a.c": [dev(1), dev(2), dev(2), dev(1), dev(2), dev(1)]}
+        _, authorship = authorship_for(spec)
+        assert [len(fa.authors) for fa in authorship] == [2]
+        counts, n_files = scope_counts(spec)
+        top = top_k_share(counts, n_files, 10)
         assert top.top1_share + top.next_share == pytest.approx(2.0)
 
     def test_domain_errors(self):
@@ -243,8 +244,8 @@ class TestTopKShare:
 class TestFixtureWorkload:
     def test_final_release_sample(self, fixture_records, fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])
-        authorship = compute_authorship(snap)
-        sample = files_per_author(author_file_counts(authorship, sorted(snap.live.values())))
+        state, _ = counted(snap)
+        sample = files_per_author(state.author_counts[None])
         assert sample == [1, 2, 3, 4, 5, 6]
         assert gini(sample) == pytest.approx(oracles.gini_pairwise(sample), abs=1e-12)
 
