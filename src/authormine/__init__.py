@@ -10,9 +10,8 @@ changed since the previous one (`SeriesState`).
 
 __version__ = "0.1.0"
 
-from .doa import (AuthorshipMap, DevScore, DoaThresholds, DoaWeights, FileAuthorship,
-                  FileDevCounters, author_proportion, compute_authorship, doa_absolute,
-                  score_file)
+from .doa import (DevScore, DoaThresholds, DoaWeights, FileAuthorship, FileDevCounters,
+                  author_proportion, compute_authorship, doa_absolute, score_file)
 from .errors import (AuthormineError, BoundaryNotFoundError, ConfigError,
                      LogParseError, LogSchemaError)
 from .ingest import (ChangeKind, CommitRecord, DeveloperId, FileChange, ReleaseTag,
@@ -22,10 +21,10 @@ from .network import (CoauthorGraph, assortativity, build_graph, clustering_avg_
                       clustering_global, mean_degree, solitary_authors)
 from .profiles import ProfileBreakdown, profile_proportions
 from .series import SeriesState
-from .snapshot import FileCounters, ReleaseSnapshot, iter_snapshots, snapshot_at
+from .snapshot import FileCounters, ReleaseSnapshot, iter_snapshots
 from .subsystems import (SubsystemRules, default_rules, load_rules, make_rules,
-                         scope_partition, subsystem_sizes)
-from .workload import (AuthorRank, Fences, TopKShare, adjusted_fences, files_per_author,
-                       gini, medcouple, outliers, quantile, top_k_share)
+                         scope_partition)
+from .workload import (Fences, TopKShare, adjusted_fences, files_per_author, gini,
+                       medcouple, quantile, top_k_share)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

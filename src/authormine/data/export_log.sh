@@ -16,12 +16,15 @@
 #   --reverse       oldest-first order, as the accumulator requires
 #   --topo-order    children never precede parents even under clock skew
 #   --name-status   one status letter per changed path
+#   -z              NUL after every status and path, and paths verbatim:
+#                   without it git C-quotes a path holding a tab, a newline,
+#                   a double quote or a non-ASCII byte
 #   -M              detect renames so moves keep their history
 #   %an/%ae/%at     the commit *author*, never the committer
 #
-# The log is converted record by record as git writes it.  Author names
-# and emails that are not valid UTF-8 have their invalid bytes replaced
-# by U+FFFD, and one line on stderr says how many were.
+# The log is converted record by record as git writes it.  Author names,
+# emails and paths that are not valid UTF-8 have their invalid bytes
+# replaced by U+FFFD, and one line on stderr says how many were.
 #
 # Histories split across repositories (e.g. pre-VCS archives) can be
 # exported separately and concatenated; feed the pieces oldest-first.
@@ -29,7 +32,7 @@ set -eu
 
 REPO="${1:?usage: export_log.sh /path/to/repo}"
 
-git -C "$REPO" log --reverse --topo-order -M --name-status \
+git -C "$REPO" log --reverse --topo-order -M --name-status -z \
     --format='%x1e%H%x1f%an%x1f%ae%x1f%at' \
 | python3 -c '
 import json
@@ -38,17 +41,14 @@ import sys
 replaced = 0
 
 
-def records(stream):
-    """Yield the raw \x1e-separated records of a byte stream as they arrive."""
-    pending = []
+def fields_of(stream):
+    """Yield the NUL-terminated fields of a byte stream as they arrive."""
+    rest = b""
     for chunk in iter(lambda: stream.read(1 << 16), b""):
-        *done, rest = chunk.split(b"\x1e")
-        if done:
-            yield b"".join(pending) + done[0]
-            yield from done[1:]
-            pending = []
-        pending.append(rest)
-    yield b"".join(pending)
+        *done, rest = (rest + chunk).split(b"\0")
+        yield from done
+    if rest:
+        yield rest
 
 
 def text(raw):
@@ -60,34 +60,34 @@ def text(raw):
         return raw.decode("utf-8", errors="replace")
 
 
-for record in records(sys.stdin.buffer):
-    record = record.strip(b"\n")
-    if not record:
-        continue
-    head, _, body = record.partition(b"\n")
-    commit, name, email, ts = head.split(b"\x1f")
+# Each commit is its \x1e-marked header, then a status field and one path
+# field (two for a rename or copy) per changed path.  A status never
+# starts with \x1e, and a path holding one is read as a path.
+fields = fields_of(sys.stdin.buffer)
+field = next(fields, None)
+while field is not None:
+    commit, name, email, ts = field[1:].split(b"\x1f")
     changes = []
-    for line in body.decode("utf-8", errors="replace").splitlines():
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        status = fields[0]
-        if status.startswith(("R", "C")) and len(fields) == 3:
+    for field in fields:
+        if field.startswith(b"\x1e"):
+            break
+        status = field.lstrip(b"\n")  # a newline ends the header
+        if status.startswith((b"R", b"C")):
             # name-status gives old path first; copies count as creations
-            old, new = fields[1], fields[2]
-            if status.startswith("R"):
-                changes.append(["R", new, old])
-            else:
-                changes.append(["A", new])
-        elif len(fields) == 2:
-            kind = {"A": "A", "M": "M", "D": "D", "T": "M"}.get(status[:1])
+            old, new = text(next(fields)), text(next(fields))
+            changes.append(["R", new, old] if status.startswith(b"R") else ["A", new])
+        else:
+            path = text(next(fields))
+            kind = {b"A": "A", b"M": "M", b"D": "D", b"T": "M"}.get(status[:1])
             if kind is not None:
-                changes.append([kind, fields[1]])
+                changes.append([kind, path])
+    else:
+        field = None
     sys.stdout.write(json.dumps(
         {"id": commit.decode("ascii"), "an": text(name), "ae": text(email),
          "ts": int(ts), "ch": changes},
         ensure_ascii=False) + "\n")
 if replaced:
-    sys.stderr.write(f"export_log.sh: {replaced} author names or emails were not "
-                     "valid UTF-8; their invalid bytes became U+FFFD\n")
+    sys.stderr.write(f"export_log.sh: {replaced} author names, emails or paths were "
+                     "not valid UTF-8; their invalid bytes became U+FFFD\n")
 '

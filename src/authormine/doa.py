@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .ingest import DeveloperId
 
@@ -127,25 +127,12 @@ def score_file(counters: Mapping[DeveloperId, FileDevCounters],
     return tuple(scores), frozenset(authors)
 
 
-class AuthorshipMap:
-    """Scores and author sets for every live file of one snapshot, by file id."""
-
-    def __init__(self, files: "dict[int, FileAuthorship]"):
-        self.files = files
-
-    def __iter__(self) -> Iterator[FileAuthorship]:
-        return iter(self.files.values())
-
-    def __len__(self) -> int:
-        return len(self.files)
-
-
 def compute_authorship(snapshot: "ReleaseSnapshot",
                        thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
                        weights: DoaWeights = DEFAULT_WEIGHTS,
                        previous: "Mapping[int, FileAuthorship] | None" = None,
-                       ) -> AuthorshipMap:
-    """Score every live file of a snapshot, in path order.
+                       ) -> dict[int, FileAuthorship]:
+    """Score every live file of a snapshot: results by file id, in path order.
 
     `previous` holds results computed with the same floors and weights,
     by file id.  One whose path is unchanged and whose counters object is
@@ -166,7 +153,7 @@ def compute_authorship(snapshot: "ReleaseSnapshot",
                 raise ValueError(f"{path}: {exc}") from None
             fa = FileAuthorship(fid, path, scores, authors, counters)
         files[fid] = fa
-    return AuthorshipMap(files)
+    return files
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,14 +163,15 @@ class AuthorProportion:
     proportion: float
 
 
-def author_proportion(authorship: AuthorshipMap, fids: "list[int]") -> AuthorProportion:
+def author_proportion(authorship: Mapping[int, FileAuthorship], fids: "list[int]",
+                      ) -> AuthorProportion:
     """Share of developers of the given live files who author at least one."""
     if not fids:
         raise ValueError("scope contains no live files")
     developers: set[DeveloperId] = set()
     authors: set[DeveloperId] = set()
     for fid in fids:
-        fa = authorship.files[fid]
+        fa = authorship[fid]
         developers.update(s.developer for s in fa.scores)
         authors.update(fa.authors)
     return AuthorProportion(len(developers), len(authors), len(authors) / len(developers))

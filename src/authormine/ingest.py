@@ -156,8 +156,9 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
         email = _require(obj, "ae", line_no)
         if not isinstance(email, str):
             raise LogSchemaError("must be a string", line_no, "ae")
-        if "\r" in email:  # see _normalize_path
-            raise LogSchemaError("must not contain a carriage return", line_no, "ae")
+        # see _normalize_path; git refuses a newline in an ident
+        if "\r" in email or "\n" in email:
+            raise LogSchemaError("must not contain a line break", line_no, "ae")
         ts = _require(obj, "ts", line_no)
         if isinstance(ts, bool) or not isinstance(ts, int):
             raise LogSchemaError("must be an integer", line_no, "ts")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .ingest import DeveloperId
@@ -26,27 +25,6 @@ class CoauthorGraph:
     edges: tuple[Edge, ...]
     weights: Mapping[Edge, int]
     adjacency: Mapping[DeveloperId, frozenset[DeveloperId]]
-
-    @classmethod
-    def assemble(cls, vertices: Iterable[DeveloperId],
-                 weighted_edges: Mapping[Edge, int]) -> "CoauthorGraph":
-        """Normalize vertices/edges into deterministic sorted order."""
-        verts = tuple(sorted(set(vertices), key=DeveloperId.sort_key))
-        vert_set = set(verts)
-        adjacency: dict[DeveloperId, set[DeveloperId]] = {v: set() for v in verts}
-        weights: dict[Edge, int] = {}
-        for (u, v), w in weighted_edges.items():
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            if u not in vert_set or v not in vert_set:
-                raise ValueError("edge endpoint is not a vertex")
-            a, b = sorted((u, v), key=DeveloperId.sort_key)
-            weights[(a, b)] = weights.get((a, b), 0) + w
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        edges = tuple(sorted(weights, key=lambda e: (e[0].sort_key(), e[1].sort_key())))
-        frozen_adj = {v: frozenset(neigh) for v, neigh in adjacency.items()}
-        return cls(verts, edges, weights, frozen_adj)
 
     def degree(self, vertex: DeveloperId) -> int:
         return len(self.adjacency[vertex])
@@ -63,12 +41,27 @@ class CoauthorGraph:
 def build_graph(authors: Iterable[DeveloperId],
                 weights: Mapping[Edge, int]) -> CoauthorGraph:
     """Co-authorship graph of one scope from its authors and the number of
-    live files each co-author pair shares there.
+    live files each co-author pair shares there, in sorted order.
 
     An empty scope yields an empty graph.  Solitary authors (degree 0)
     are retained as vertices.
     """
-    return CoauthorGraph.assemble(authors, weights)
+    verts = tuple(sorted(set(authors), key=DeveloperId.sort_key))
+    vert_set = set(verts)
+    adjacency: dict[DeveloperId, set[DeveloperId]] = {v: set() for v in verts}
+    edge_weights: dict[Edge, int] = {}
+    for (u, v), w in weights.items():
+        if u == v:
+            raise ValueError("self-loops are not allowed")
+        if u not in vert_set or v not in vert_set:
+            raise ValueError("edge endpoint is not a vertex")
+        a, b = sorted((u, v), key=DeveloperId.sort_key)
+        edge_weights[(a, b)] = edge_weights.get((a, b), 0) + w
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    edges = tuple(sorted(edge_weights, key=lambda e: (e[0].sort_key(), e[1].sort_key())))
+    return CoauthorGraph(verts, edges, edge_weights,
+                         {v: frozenset(neigh) for v, neigh in adjacency.items()})
 
 
 def mean_degree(graph: CoauthorGraph) -> float:
@@ -77,15 +70,10 @@ def mean_degree(graph: CoauthorGraph) -> float:
     return 2.0 * graph.n_edges / graph.n_vertices
 
 
-def _connected_triples(graph: CoauthorGraph) -> int:
-    return sum(d * (d - 1) // 2
-               for d in (graph.degree(v) for v in graph.vertices))
-
-
 def clustering_global(graph: CoauthorGraph) -> "float | None":
     """Transitivity: 3 * triangles / connected triples, or None when the
     graph has no length-2 paths."""
-    triples = _connected_triples(graph)
+    triples = sum(d * (d - 1) // 2 for d in map(graph.degree, graph.vertices))
     if triples == 0:
         return None
     closed = sum(len(graph.adjacency[u] & graph.adjacency[v])
@@ -102,8 +90,7 @@ def clustering_avg_local(graph: CoauthorGraph) -> "float | None":
         d = len(neighbors)
         if d < 2:
             continue
-        links = sum(1 for a, b in combinations(tuple(neighbors), 2)
-                    if b in graph.adjacency[a])
+        links = sum(len(graph.adjacency[u] & neighbors) for u in neighbors) // 2
         locals_.append(links / (d * (d - 1) / 2))
     if not locals_:
         return None

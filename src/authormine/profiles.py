@@ -21,7 +21,6 @@ class ProfileBreakdown:
     specialists: int
     generalists: int
     specialist_pct: float
-    generalist_pct: float
 
 
 def profile_proportions(counts: AuthorCounts,
@@ -38,6 +37,4 @@ def profile_proportions(counts: AuthorCounts,
         raise ValueError("scope has no authors")
     specialists = sum(1 for dev in counts if len(subsystems[dev]) == 1)
     n = len(counts)
-    generalists = n - specialists
-    return ProfileBreakdown(n, specialists, generalists,
-                            100.0 * specialists / n, 100.0 * generalists / n)
+    return ProfileBreakdown(n, specialists, n - specialists, 100.0 * specialists / n)

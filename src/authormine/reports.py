@@ -14,7 +14,7 @@ import json
 from json.encoder import encode_basestring
 from typing import IO, Collection, Iterable, Mapping, Sequence
 
-from .doa import AuthorshipMap, DoaThresholds, DoaWeights, compute_authorship
+from .doa import DoaThresholds, DoaWeights, FileAuthorship, compute_authorship
 from .ingest import DeveloperId
 from .network import (CoauthorGraph, assortativity, build_graph, clustering_avg_local,
                       clustering_global, mean_degree, solitary_authors)
@@ -57,14 +57,14 @@ def scope_name(scope: "str | None") -> str:
     return SCOPE_ALL if scope is None else scope
 
 
-def authorship_rows(release_name: str, authorship: AuthorshipMap,
+def authorship_rows(release_name: str, authorship: "dict[int, FileAuthorship]",
                     tails: "dict[int, list[tuple[str, ...]]]") -> list[tuple[str, ...]]:
     """The authorship rows of one release.  `tails` holds each file's rows
     without the release column, by file id; a file found there is not
     formatted again, and one that is not is formatted and added."""
     rows: list[tuple[str, ...]] = []
     prefix = (release_name,)
-    for fa in authorship:
+    for fa in authorship.values():
         rendered = tails.get(fa.fid)
         if rendered is None:
             rendered = tails[fa.fid] = [
@@ -97,7 +97,7 @@ def workload_row(release_name: str, scope: "str | None",
         fmt_float(mc), fmt_float(fence_lo), fmt_float(fence_hi),
         fmt_float(gini(sample)),
         fmt_float(top.top1_share),
-        fmt_float(None if top.top1_share is None else top.top1_share + top.next_share),
+        fmt_float(top.topk_share),
     ]
 
 
@@ -130,14 +130,14 @@ def network_row(release_name: str, scope: "str | None",
 
 def advance(state: SeriesState, snapshot: ReleaseSnapshot, rules: SubsystemRules,
             thresholds: DoaThresholds, weights: DoaWeights,
-            ) -> "tuple[AuthorshipMap, dict[str | None, list[int]]]":
+            ) -> "tuple[dict[int, FileAuthorship], dict[str | None, list[int]]]":
     """Bring `state` to `snapshot` and return its results and scope partition.
 
     Only files whose counters or path changed since the state's last
     snapshot are scored and counted again.
     """
     state.bind((rules, thresholds, weights))
-    authorship = compute_authorship(snapshot, thresholds, weights, state.authorship.files)
+    authorship = compute_authorship(snapshot, thresholds, weights, state.authorship)
     partition = scope_partition(snapshot, rules, state.labels)
     state.update(snapshot, authorship)
     return authorship, partition
@@ -218,11 +218,15 @@ def write_json_mirror(fh: IO[str], header: Sequence[str],
 
 
 def write_pajek(fh: IO[str], graph: CoauthorGraph) -> None:
-    """Plain-text graph interchange: vertex list plus weighted edge list."""
+    """Plain-text graph interchange: vertex list plus weighted edge list.
+
+    Vertex labels are double-quoted, with `\\` and `"` backslash-escaped.
+    """
     index = {v: i for i, v in enumerate(graph.vertices, start=1)}
     fh.write(f"*Vertices {graph.n_vertices}\n")
     for v, i in index.items():
-        fh.write(f'{i} "{v.email}"\n')
+        label = v.email.replace("\\", "\\\\").replace('"', '\\"')
+        fh.write(f'{i} "{label}"\n')
     fh.write("*Edges\n")
     for u, v in graph.edges:
         fh.write(f"{index[u]} {index[v]} {graph.weights[(u, v)]}\n")
@@ -236,10 +240,6 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def build_manifest(version: str, settings: dict, inputs: list[dict],
                    outputs: list[dict]) -> dict:
     """Run manifest with a content hash over settings and input digests.
@@ -251,7 +251,8 @@ def build_manifest(version: str, settings: dict, inputs: list[dict],
         "settings": settings,
         "inputs": [(item["role"], item["name"], item["sha256"]) for item in inputs],
     }
-    config_hash = sha256_text(json.dumps(hashed, sort_keys=True))
+    config_hash = hashlib.sha256(
+        json.dumps(hashed, sort_keys=True).encode("utf-8")).hexdigest()
     return {
         "tool": "authormine",
         "version": version,

@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Hashable, Iterable
 
-from .doa import AuthorshipMap, FileAuthorship
+from .doa import FileAuthorship
 from .ingest import DeveloperId
 from .network import Edge
 from .snapshot import ReleaseSnapshot
@@ -42,7 +42,7 @@ class SeriesState:
 
     def __init__(self) -> None:
         self.settings: "tuple | None" = None
-        self.authorship = AuthorshipMap({})
+        self.authorship: dict[int, FileAuthorship] = {}
         self.labels: dict[str, str] = {}
         self.tails: dict[int, list[tuple[str, ...]]] = {}
         self.author_counts: dict[str | None, dict[DeveloperId, int]] = {}
@@ -58,17 +58,18 @@ class SeriesState:
             raise ValueError("a series state serves one setting of rules, "
                              "floors and weights")
 
-    def update(self, snapshot: ReleaseSnapshot, authorship: AuthorshipMap) -> None:
+    def update(self, snapshot: ReleaseSnapshot,
+               authorship: "dict[int, FileAuthorship]") -> None:
         """Move the state from the previous release's results to `authorship`,
         the results for `snapshot`.  Every live path must be in `labels`."""
-        previous = self.authorship.files
+        previous = self.authorship
         rescored = 0
-        for fid, fa in authorship.files.items():
+        for fid, fa in authorship.items():
             old = previous.get(fid)
             if old is not fa:
                 rescored += 1
                 self._recount(old, fa, snapshot)
-        for fid in previous.keys() - authorship.files.keys():
+        for fid in previous.keys() - authorship.keys():
             self._recount(previous[fid], None, snapshot)
         self.authorship = authorship
         self.rescored = rescored

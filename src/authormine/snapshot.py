@@ -50,7 +50,6 @@ class ReleaseSnapshot:
     release: ReleaseTag
     live: Mapping[str, int]
     files: Mapping[int, FileCounters]
-    developer_universe: frozenset[DeveloperId]
 
     def counters_for(self, fid: int) -> dict[DeveloperId, FileDevCounters]:
         state = self.files[fid]
@@ -78,7 +77,6 @@ class _Accumulator:
         self.follow_renames = follow_renames
         self.files: dict[int, _FileState] = {}
         self.live: dict[str, int] = {}
-        self.devs: set[DeveloperId] = set()
         self._next_fid = 0
         # file ids delivered since the last freeze (every create, delete and
         # move delivers), and the counters that freeze handed out last
@@ -151,7 +149,6 @@ class _Accumulator:
     def feed(self, record: CommitRecord) -> None:
         if not record.changes:  # empty, merge or fully excluded; only the id matters
             return
-        self.devs.add(record.author)
         delivered: set[int] = set()
         for change in record.changes:
             if change.kind is ChangeKind.ADD:
@@ -173,7 +170,7 @@ class _Accumulator:
             files[fid] = FileCounters(state.creator, state.total, dict(state.deliveries))
         self.dirty.clear()
         self.frozen = files
-        return ReleaseSnapshot(release, dict(self.live), files, frozenset(self.devs))
+        return ReleaseSnapshot(release, dict(self.live), files)
 
 
 def iter_snapshots(records: Iterable[CommitRecord],
@@ -215,8 +212,3 @@ def iter_snapshots(records: Iterable[CommitRecord],
         f"boundary commit {pending[0].boundary!r} for release {pending[0].name!r} "
         "not found in the record stream")
 
-
-def snapshot_at(records: Iterable[CommitRecord], release: ReleaseTag,
-                follow_renames: bool = True) -> ReleaseSnapshot:
-    """Materialize the snapshot for a single release from scratch."""
-    return next(iter_snapshots(records, [release], follow_renames))

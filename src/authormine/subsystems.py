@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import NamedTuple
 
 from .errors import ConfigError
 from .patterns import PathRule
@@ -79,23 +78,6 @@ def default_rules() -> SubsystemRules:
         with resources.as_file(ref) as path:
             _default_rules = load_rules(path)
     return _default_rules
-
-
-class SubsystemSize(NamedTuple):
-    file_count: int
-    percent: float
-
-
-def subsystem_sizes(snapshot: ReleaseSnapshot, rules: SubsystemRules,
-                    ) -> dict[str, SubsystemSize]:
-    """Live-file counts and percentages per subsystem, every label included."""
-    if not snapshot.live:
-        raise ValueError("snapshot has no live files")
-    counts = {label: 0 for label in rules.labels}
-    for path in snapshot.live:
-        counts[rules.classify(path)] += 1
-    total = len(snapshot.live)
-    return {label: SubsystemSize(n, 100.0 * n / total) for label, n in counts.items()}
 
 
 def scope_partition(snapshot: ReleaseSnapshot, rules: SubsystemRules,

@@ -102,10 +102,6 @@ def adjusted_fences(sample: WorkloadSample, mc: float,
                   q3 + whisker * math.exp(4.0 * mc) * iqr)
 
 
-def outliers(sample: WorkloadSample, fences: Fences) -> list[float]:
-    return [x for x in sample if x < fences.lower or x > fences.upper]
-
-
 def gini(sample: WorkloadSample) -> float:
     """Gini coefficient, population convention: sum|x_i - x_j| / (2 n^2 mean).
 
@@ -127,39 +123,29 @@ def gini(sample: WorkloadSample) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class AuthorRank:
-    developer: DeveloperId
-    files: int
-    share: float
-
-
-@dataclass(frozen=True)
 class TopKShare:
-    """Top-k authors by authored live files within a scope.
+    """Shares of a scope's live files authored by its top author, and by
+    its top k authors together.
 
-    Shares are authored files over live files in scope; a file with
-    several authors counts once per author, so shares may sum past 1.
-    When the scope has fewer than k authors, all are returned and
-    `truncated` is set.
+    A file with several authors counts once per author, so the top-k
+    share may pass 1.
     """
 
-    ranks: tuple[AuthorRank, ...]
-    top1_share: "float | None"
-    next_share: "float | None"
-    k: int
-    truncated: bool
+    top1_share: float
+    topk_share: float
 
 
 def top_k_share(counts: AuthorCounts, n_files: int, k: int) -> TopKShare:
-    """Top-k of a scope's author counts, as shares of its `n_files` live files."""
+    """Top-k of a scope's author counts, as shares of its `n_files` live files.
+
+    The top-k share adds the next shares, largest first, to the top one;
+    tied counts give equal shares, so their order does not matter.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if n_files < 1:
         raise ValueError("scope contains no live files")
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0].sort_key()))
-    ranks = tuple(AuthorRank(dev, n, n / n_files) for dev, n in ranked[:k])
-    if not ranks:
-        return TopKShare((), None, None, k, True)
-    top1 = ranks[0].share
-    nxt = sum(r.share for r in ranks[1:])
-    return TopKShare(ranks, top1, nxt, k, len(counts) < k)
+    if not counts:
+        raise ValueError("scope has no authors")
+    top1, *rest = (n / n_files for n in sorted(counts.values(), reverse=True)[:k])
+    return TopKShare(top1, top1 + sum(rest))

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 
-from authormine import (AuthorshipMap, ChangeKind, CommitRecord, CoauthorGraph,
-                        DeveloperId, DoaThresholds, DoaWeights, FileChange,
-                        ReleaseSnapshot, SeriesState, compute_authorship, default_rules)
+from authormine import (ChangeKind, CommitRecord, CoauthorGraph, DeveloperId,
+                        DoaThresholds, DoaWeights, FileAuthorship, FileChange, ReleaseSnapshot,
+                        ReleaseTag, SeriesState, build_graph, compute_authorship,
+                        default_rules, iter_snapshots)
 from authormine.reports import advance
 
 
@@ -36,10 +37,16 @@ def records_from_oracle(oracle_records: list[dict]) -> list[CommitRecord]:
     return out
 
 
-def engine_view(snapshot: ReleaseSnapshot, authorship: AuthorshipMap) -> dict:
+def snapshot_at(records, release: ReleaseTag, follow_renames: bool = True,
+                ) -> ReleaseSnapshot:
+    """Materialize the snapshot for a single release from scratch."""
+    return next(iter_snapshots(records, [release], follow_renames))
+
+
+def engine_view(snapshot: ReleaseSnapshot, authorship: "dict[int, FileAuthorship]") -> dict:
     """Engine results in the oracle's comparison shape, keyed by path/email."""
     view = {}
-    for fa in authorship:
+    for fa in authorship.values():
         view[fa.path] = {
             "counters": {s.developer.email: (s.fa, s.dl, s.ac) for s in fa.scores},
             "doa": {s.developer.email: (s.doa_abs, s.doa_norm) for s in fa.scores},
@@ -68,7 +75,7 @@ def graph_from_data(vertices: list[int], edges: set) -> CoauthorGraph:
     for e in edges:
         u, v = sorted(e)
         weights[(devs[u], devs[v])] = 1
-    return CoauthorGraph.assemble(devs.values(), weights)
+    return build_graph(devs.values(), weights)
 
 
 def canonical_snapshot_json(snapshot: ReleaseSnapshot) -> str:
@@ -88,7 +95,6 @@ def canonical_snapshot_json(snapshot: ReleaseSnapshot) -> str:
             }
             for fid, fc in sorted(snapshot.files.items())
         },
-        "devs": sorted(f"{d.name}|{d.email}" for d in snapshot.developer_universe),
     }
     return json.dumps(payload, sort_keys=True)
 
@@ -104,7 +110,5 @@ def counted(snapshot: ReleaseSnapshot, rules=None) -> tuple[SeriesState, dict]:
 
 def view_at(records, release, follow_renames=True):
     """Engine snapshot + authorship view for one release, from scratch."""
-    from authormine import snapshot_at
-
     snap = snapshot_at(records, release, follow_renames=follow_renames)
     return snap, engine_view(snap, compute_authorship(snap))

@@ -1,0 +1,40 @@
+"""The public API is sealed: every exported function and class has a use."""
+
+import ast
+import inspect
+import re
+from pathlib import Path
+
+import authormine
+
+ROOT = Path(__file__).resolve().parent.parent
+# read only by tests until the run manifest carries the share of authors
+ALLOWED = {"author_proportion"}
+
+
+def library_use_imports() -> set[str]:
+    """The names that README's `Library use` example imports."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library use\n+```python\n(.*?)^```", readme, re.M | re.S)
+    assert block, "README has no Library use example"
+    return {alias.name for node in ast.walk(ast.parse(block.group(1)))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_public_name_is_used():
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "authormine").glob("*.py"))
+               if path.name != "__init__.py"]
+    documented = library_use_imports()
+    unused = []
+    for name in authormine.__all__:
+        obj = getattr(authormine, name)
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        mention = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^(?:def|class) {name}\b", re.M)
+        uses = sum(len(mention.findall(text)) - len(definition.findall(text))
+                   for text in sources)
+        if uses == 0 and name not in documented and name not in ALLOWED:
+            unused.append(name)
+    assert unused == [], f"exported but used nowhere in the package or README: {unused}"

@@ -4,6 +4,7 @@ import csv
 import json
 import logging
 import os
+import shlex
 import subprocess
 import sys
 
@@ -248,6 +249,25 @@ class TestStatsAndNetwork:
         pajek_text = pajek.read_text()
         assert pajek_text.startswith("*Vertices 6")
         assert "*Edges" in pajek_text
+
+    def test_graph_labels_escaped(self, tmp_path, capsys):
+        # a quote or a backslash in an email must not end the quoted label
+        emails = ['a"q@x.org', "b\\q@x.org", 'c\\"@x.org']
+        log = tmp_path / "log.ndjson"
+        log.write_text("".join(
+            json.dumps({"id": f"c{i}", "an": "N", "ae": email, "ts": i,
+                        "ch": [["A", f"f{i}.c"]]}) + "\n"
+            for i, email in enumerate(emails)))
+        releases = tmp_path / "releases.txt"
+        releases.write_text("r c2\n")
+        pajek = tmp_path / "graph.net"
+        assert main(["network", "--log", str(log), "--releases", str(releases),
+                     "--release", "r", "--graph", str(pajek)]) == 0
+        capsys.readouterr()
+        lines = pajek.read_text().splitlines()
+        assert lines[0] == "*Vertices 3"
+        assert [shlex.split(line) for line in lines[1:4]] == \
+            [[str(i), email] for i, email in enumerate(emails, 1)]
 
     def test_network_scope_export(self, tmp_path, capsys):
         edges = tmp_path / "edges.csv"

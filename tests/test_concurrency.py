@@ -3,9 +3,9 @@
 from concurrent.futures import ThreadPoolExecutor
 
 from authormine import (DoaThresholds, DoaWeights, compute_authorship, default_rules,
-                        iter_snapshots, snapshot_at)
+                        iter_snapshots)
 from authormine.reports import release_report
-from helpers import canonical_snapshot_json
+from helpers import canonical_snapshot_json, snapshot_at
 
 
 def test_concurrent_release_analytics_match_serial(fixture_records, fixture_releases):

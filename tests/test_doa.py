@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from authormine import (DoaThresholds, DoaWeights, FileDevCounters, ReleaseTag,
-                        author_proportion, compute_authorship, doa_absolute, score_file,
-                        snapshot_at)
+                        author_proportion, compute_authorship, doa_absolute, score_file)
 import oracles
 from helpers import (assert_views_match, counted, dev, engine_view, make_record,
-                     records_from_oracle)
+                     records_from_oracle, snapshot_at)
 
 counters_strategy = st.builds(
     FileDevCounters,
@@ -151,7 +150,7 @@ class TestAuthorshipMap:
             snap = snapshot_at(fixture_records, tag)
             authorship = compute_authorship(snap)
             assert len(authorship) == len(snap.live)
-            for fa in authorship:
+            for fa in authorship.values():
                 assert max(s.doa_norm for s in fa.scores) == 1.0
                 assert fa.authors <= {s.developer for s in fa.scores}
 
@@ -159,9 +158,9 @@ class TestAuthorshipMap:
         snap = snapshot_at(fixture_records, fixture_releases[-1])
         authorship = compute_authorship(snap)
         counts = counted(snap)[0].author_counts[None]
-        assert set(counts) == {d for fa in authorship for d in fa.authors}
+        assert set(counts) == {d for fa in authorship.values() for d in fa.authors}
         for developer, n in counts.items():
-            assert n == sum(developer in fa.authors for fa in authorship)
+            assert n == sum(developer in fa.authors for fa in authorship.values())
 
 
 class TestAuthorProportion:

@@ -7,8 +7,9 @@ import subprocess
 
 import pytest
 
-from authormine import ChangeKind, parse_commit_log
+from authormine import ChangeKind, ReleaseTag, default_rules, parse_commit_log, scope_partition
 from authormine.cli import main
+from helpers import snapshot_at
 
 pytestmark = pytest.mark.skipif(shutil.which("git") is None,
                                 reason="git not available")
@@ -42,15 +43,20 @@ def tiny_repo(tmp_path):
     return repo
 
 
-def test_export_script_round_trips(tiny_repo, tmp_path, capsys):
+def export(repo, tmp_path, capsys):
+    """Run the printed export script on a repository: (stdout, stderr) bytes."""
     assert main(["export-log-helper"]) == 0
     script = tmp_path / "export.sh"
     script.write_text(capsys.readouterr().out)
+    result = subprocess.run(["sh", str(script), str(repo)], check=True,
+                            capture_output=True)
+    return result.stdout, result.stderr
 
-    result = subprocess.run(["sh", str(script), str(tiny_repo)],
-                            check=True, capture_output=True, text=True)
-    assert result.stderr == ""  # every name and email was valid UTF-8
-    records = list(parse_commit_log(io.StringIO(result.stdout)))
+
+def test_export_script_round_trips(tiny_repo, tmp_path, capsys):
+    out, err = export(tiny_repo, tmp_path, capsys)
+    assert err == b""  # every name, email and path was valid UTF-8
+    records = list(parse_commit_log(io.BytesIO(out)))
     assert len(records) == 5
     assert all(r.author.email == "test@example.org" for r in records)
     kinds = [[c.kind for c in r.changes] for r in records]
@@ -63,6 +69,38 @@ def test_export_script_round_trips(tiny_repo, tmp_path, capsys):
     assert timestamps == sorted(timestamps)
 
 
+def test_paths_round_trip_verbatim(tiny_repo, tmp_path, capsys):
+    # git C-quotes such paths ("drivers/\303\244.c") unless asked for -z;
+    # 0x1e, which marks a commit header in the script, is a path byte too
+    paths = ["drivers/\u00e4.c", "drivers/tab\tname.c", "drivers/rs\x1ename.c"]
+    (tiny_repo / "drivers").mkdir()
+    for path in paths:
+        (tiny_repo / path).write_text("x\n")
+    git(tiny_repo, "add", ".")
+    git(tiny_repo, "commit", "-qm", "six")
+
+    out, err = export(tiny_repo, tmp_path, capsys)
+    assert err == b""
+    records = list(parse_commit_log(io.BytesIO(out)))
+    assert sorted(c.path for c in records[-1].changes) == sorted(paths)
+    snap = snapshot_at(records, ReleaseTag("r", records[-1].commit_id))
+    driver = scope_partition(snap, default_rules())["Driver"]
+    assert sorted(driver) == sorted(snap.live[path] for path in paths)
+
+
+def test_invalid_utf8_path_is_replaced_and_counted(tiny_repo, tmp_path, capsys):
+    (tiny_repo / "drivers").mkdir()
+    with open(bytes(tiny_repo / "drivers") + b"/bad\xff.c", "w") as fh:
+        fh.write("x\n")
+    git(tiny_repo, "add", ".")
+    git(tiny_repo, "commit", "-qm", "six")
+
+    out, err = export(tiny_repo, tmp_path, capsys)
+    records = list(parse_commit_log(io.BytesIO(out)))
+    assert [c.path for c in records[-1].changes] == ["drivers/bad\ufffd.c"]
+    assert err.decode().startswith("export_log.sh: 1 author names, emails or paths")
+
+
 def test_merge_commit_closes_release(tiny_repo, tmp_path, capsys):
     git(tiny_repo, "checkout", "-qb", "side")
     (tiny_repo / "src" / "d.c").write_text("d\n")
@@ -73,13 +111,10 @@ def test_merge_commit_closes_release(tiny_repo, tmp_path, capsys):
     merge = subprocess.run(["git", "-C", str(tiny_repo), "rev-parse", "HEAD"], check=True,
                            capture_output=True, text=True).stdout.strip()
 
-    assert main(["export-log-helper"]) == 0
-    script = tmp_path / "export.sh"
-    script.write_text(capsys.readouterr().out)
+    out, _ = export(tiny_repo, tmp_path, capsys)
     log = tmp_path / "history.ndjson"
-    log.write_text(subprocess.run(["sh", str(script), str(tiny_repo)], check=True,
-                                  capture_output=True, text=True).stdout)
-    records = list(parse_commit_log(io.StringIO(log.read_text())))
+    log.write_bytes(out)
+    records = list(parse_commit_log(io.BytesIO(out)))
     assert len(records) == 7
     assert (records[-1].commit_id, records[-1].changes) == (merge, ())
 
@@ -101,19 +136,15 @@ def test_invalid_utf8_author_is_replaced_and_counted(tiny_repo, tmp_path, capsys
                GIT_AUTHOR_EMAIL=b"bad@example.org")
     git(tiny_repo, "commit", "-qm", "six", env=env)
 
-    assert main(["export-log-helper"]) == 0
-    script = tmp_path / "export.sh"
-    script.write_text(capsys.readouterr().out)
-    result = subprocess.run(["sh", str(script), str(tiny_repo)], check=True,
-                            capture_output=True)
-    records = list(parse_commit_log(io.BytesIO(result.stdout)))
+    out, err = export(tiny_repo, tmp_path, capsys)
+    records = list(parse_commit_log(io.BytesIO(out)))
     assert len(records) == 6
     assert records[-1].author.name == "Bad \ufffd Name"
     assert records[-1].author.email == "bad@example.org"
     assert [c.path for c in records[-1].changes] == ["src/e.c"]
-    warnings = result.stderr.decode().splitlines()
+    warnings = err.decode().splitlines()
     assert len(warnings) == 1
-    assert warnings[0].startswith("export_log.sh: 1 author names or emails")
+    assert warnings[0].startswith("export_log.sh: 1 author names, emails or paths")
 
 
 def test_record_longer_than_a_read_chunk(tiny_repo, tmp_path, capsys):
@@ -128,12 +159,7 @@ def test_record_longer_than_a_read_chunk(tiny_repo, tmp_path, capsys):
     (tiny_repo / "src" / "c.c").write_text("c2\n")
     git(tiny_repo, "commit", "-qam", "after")
 
-    assert main(["export-log-helper"]) == 0
-    script = tmp_path / "export.sh"
-    script.write_text(capsys.readouterr().out)
-    result = subprocess.run(["sh", str(script), str(tiny_repo)], check=True,
-                            capture_output=True)
-    records = list(parse_commit_log(io.BytesIO(result.stdout)))
+    records = list(parse_commit_log(io.BytesIO(export(tiny_repo, tmp_path, capsys)[0])))
     assert len(records) == 7
     assert sorted(c.path for c in records[5].changes) == names
     assert [c.path for c in records[6].changes] == ["src/c.c"]

@@ -5,12 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from authormine import (CoauthorGraph, DoaThresholds, DoaWeights, ReleaseTag,
-                        assortativity, clustering_avg_local, clustering_global,
-                        default_rules, mean_degree, snapshot_at, solitary_authors)
+from authormine import (DoaThresholds, DoaWeights, ReleaseTag, assortativity,
+                        build_graph, clustering_avg_local, clustering_global,
+                        default_rules, mean_degree, solitary_authors)
 from authormine.reports import release_graphs
 import oracles
-from helpers import dev, graph_from_data, make_record
+from helpers import dev, graph_from_data, make_record, snapshot_at
 
 
 def graph_of(edge_pairs, n_vertices):
@@ -78,7 +78,7 @@ class TestBuildGraph:
 
     def test_rejects_self_loops(self):
         with pytest.raises(ValueError):
-            CoauthorGraph.assemble([dev(1)], {(dev(1), dev(1)): 1})
+            build_graph([dev(1)], {(dev(1), dev(1)): 1})
 
 
 class TestMeanDegree:

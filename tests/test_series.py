@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from authormine import (DoaThresholds, DoaWeights, ReleaseTag, SeriesState, default_rules,
-                        doa, iter_snapshots, snapshot_at)
+                        doa, iter_snapshots)
 from authormine.reports import release_report
 import oracles
-from helpers import counted, dev, make_record
+from helpers import counted, dev, make_record, snapshot_at
 
 RULES = default_rules()
 THRESHOLDS = DoaThresholds()
@@ -80,7 +80,7 @@ def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
         assert state.subsystem_counts == fresh.subsystem_counts
         # entries of files that died are gone
         assert set(state.labels) == set(snap.live)
-        assert set(state.tails) == set(state.authorship.files) == set(snap.live.values())
+        assert set(state.tails) == set(state.authorship) == set(snap.live.values())
 
 
 def test_series_rescores_only_changed_files(monkeypatch):

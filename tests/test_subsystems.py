@@ -3,8 +3,8 @@
 import pytest
 
 from authormine import (ConfigError, ReleaseTag, default_rules, load_rules, make_rules,
-                        scope_partition, snapshot_at, subsystem_sizes)
-from helpers import dev, make_record
+                        scope_partition)
+from helpers import dev, make_record, snapshot_at
 
 
 class TestClassify:
@@ -44,33 +44,19 @@ def snapshot_with_paths(paths):
 
 
 class TestSubsystemSizes:
+    """Live files per label, read from the scope partition."""
+
     def test_even_split(self):
         snap = snapshot_with_paths(
             ["drivers/a.c", "drivers/b.c", "fs/a.c", "fs/b.c"])
-        sizes = subsystem_sizes(snap, default_rules())
-        assert sizes["Driver"] == (2, 50.0)
-        assert sizes["Fs"] == (2, 50.0)
-        assert sizes["Core"].file_count == 0
+        partition = scope_partition(snap, default_rules())
+        assert len(partition["Driver"]) == len(partition["Fs"]) == 2
+        assert partition["Core"] == []
 
     def test_all_misc(self):
         snap = snapshot_with_paths(["README", "COPYING"])
-        sizes = subsystem_sizes(snap, default_rules())
-        assert sizes["Misc"] == (2, 100.0)
-
-    def test_percents_sum_to_100(self, fixture_records, fixture_releases):
-        snap = snapshot_at(fixture_records, fixture_releases[-1])
-        sizes = subsystem_sizes(snap, default_rules())
-        assert sum(s.percent for s in sizes.values()) == pytest.approx(100.0)
-        assert sum(s.file_count for s in sizes.values()) == len(snap.live)
-
-    def test_empty_snapshot_rejected(self):
-        records = [
-            make_record("c1", dev(1), 1, [("A", "f.c")]),
-            make_record("c2", dev(1), 2, [("D", "f.c")]),
-        ]
-        snap = snapshot_at(records, ReleaseTag("r", "c2"))
-        with pytest.raises(ValueError):
-            subsystem_sizes(snap, default_rules())
+        partition = scope_partition(snap, default_rules())
+        assert len(partition["Misc"]) == len(partition[None]) == 2
 
 
 class TestScopePartition:

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from authormine import (DoaThresholds, DoaWeights, ReleaseTag, adjusted_fences,
                         compute_authorship, default_rules, files_per_author, gini,
-                        medcouple, outliers, quantile, snapshot_at, top_k_share)
+                        medcouple, quantile, top_k_share)
 from authormine import reports, workload
 import oracles
-from helpers import counted, dev, make_record
+from helpers import counted, dev, make_record, snapshot_at
 
 samples = st.lists(st.integers(0, 1000), min_size=1, max_size=60)
 positive_samples = st.lists(st.integers(1, 1000), min_size=1, max_size=60)
@@ -141,13 +141,6 @@ class TestAdjustedFences:
         fences = adjusted_fences([4, 4, 4, 4], 0.0)
         assert fences.lower == fences.upper == 4.0
 
-    def test_outliers(self):
-        sample = [1, 2, 4, 10, 100]
-        fences = adjusted_fences(sample, medcouple(sample))
-        out = outliers(sample, fences)
-        assert all(x > fences.upper or x < fences.lower for x in out)
-        assert 100 in out
-
     @given(st.lists(st.integers(0, 100), min_size=3, max_size=50))
     @settings(max_examples=100)
     def test_matches_oracle(self, sample):
@@ -206,32 +199,37 @@ class TestTopKShare:
             {"a.c": [dev(1)], "b.c": [dev(1)], "c.c": [dev(1)], "d.c": [dev(2)]})
         top = top_k_share(counts, n_files, 10)
         assert top.top1_share == 0.75
-        assert top.ranks[0].developer == dev(1)
-        assert top.ranks[0].files == 3
-        assert top.truncated  # only two authors for k=10
-
-    def test_tie_broken_by_email(self):
-        counts, n_files = scope_counts({"a.c": [dev(2)], "b.c": [dev(1)], "c.c": [dev(3)]})
-        top = top_k_share(counts, n_files, 3)
-        emails = [r.developer.email for r in top.ranks]
-        assert emails == sorted(emails)
+        assert top.topk_share == 1.0  # only two authors for k=10
 
     def test_next_share_sums_remaining(self):
         counts, n_files = scope_counts(
             {"a.c": [dev(1)], "b.c": [dev(1)], "c.c": [dev(2)], "d.c": [dev(3)]})
         top = top_k_share(counts, n_files, 2)
         assert top.top1_share == pytest.approx(0.5)
-        assert top.next_share == pytest.approx(0.25)
-        assert not top.truncated
+        assert top.topk_share == pytest.approx(0.75)
 
     def test_shares_can_exceed_one(self):
         # one file with two authors: each owns 100% of the single live file
         spec = {"a.c": [dev(1), dev(2), dev(2), dev(1), dev(2), dev(1)]}
         _, authorship = authorship_for(spec)
-        assert [len(fa.authors) for fa in authorship] == [2]
+        assert [len(fa.authors) for fa in authorship.values()] == [2]
         counts, n_files = scope_counts(spec)
         top = top_k_share(counts, n_files, 10)
-        assert top.top1_share + top.next_share == pytest.approx(2.0)
+        assert top.topk_share == pytest.approx(2.0)
+
+    @given(st.dictionaries(st.integers(0, 30), st.integers(1, 4), min_size=1),
+           st.integers(1, 40), st.integers(1, 12), st.randoms(use_true_random=False))
+    def test_tied_counts_match_brute_force(self, by_dev, n_files, k, rng):
+        # ties are the rule in small counts; whichever tied author ranks
+        # first, the shares are the same
+        counts = {dev(i): n for i, n in by_dev.items()}
+        ranked = list(counts.items())
+        rng.shuffle(ranked)
+        ranked.sort(key=lambda item: -item[1])
+        shares = [n / n_files for _, n in ranked[:k]]
+        top = top_k_share(counts, n_files, k)
+        assert top.top1_share == shares[0]
+        assert top.topk_share == shares[0] + sum(shares[1:])
 
     def test_domain_errors(self):
         counts, _ = scope_counts({"a.c": [dev(1)]})
@@ -239,6 +237,8 @@ class TestTopKShare:
             top_k_share({}, 0, 10)
         with pytest.raises(ValueError):
             top_k_share(counts, 1, 0)
+        with pytest.raises(ValueError):
+            top_k_share({}, 1, 10)
 
 
 class TestFixtureWorkload:
