@@ -10,8 +10,8 @@ changed since the previous one (`SeriesState`).
 
 __version__ = "0.1.0"
 
-from .doa import (DevScore, DoaThresholds, DoaWeights, FileAuthorship, FileDevCounters,
-                  author_proportion, compute_authorship, doa_absolute, score_file)
+from .doa import (DevScore, DoaThresholds, DoaWeights, FileAuthorship, author_proportion,
+                  compute_authorship, doa_absolute, score_file)
 from .errors import (AuthormineError, BoundaryNotFoundError, ConfigError,
                      LogParseError, LogSchemaError)
 from .ingest import (ChangeKind, CommitRecord, DeveloperId, FileChange, ReleaseTag,

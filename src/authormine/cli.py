@@ -226,11 +226,11 @@ def cmd_authors(config: RunConfig, file_path: str, release_name: str) -> int:
     fid = snap.live.get(file_path)
     if fid is None:
         raise AuthormineError(f"file {file_path!r} not live at {release_name}")
-    scores, _ = score_file(snap.counters_for(fid), config.thresholds)
+    scores, _ = score_file(snap.files[fid], config.thresholds)
     authors = sorted((s for s in scores if s.is_author),
-                     key=lambda s: (-s.doa_norm, s.developer.email))
+                     key=lambda s: (-s.doa_norm, s.developer))
     for s in authors:
-        print(f"{s.developer.email},{fmt_float(s.doa_abs)},{fmt_float(s.doa_norm)}")
+        print(f"{s.developer},{fmt_float(s.doa_abs)},{fmt_float(s.doa_norm)}")
     return EXIT_OK
 
 

@@ -13,37 +13,21 @@ author of a file when doa_norm > 0.75 and doa_abs >= 3.293 (strict
 inequality on the normalized floor, inclusive on the absolute floor).
 
 `score_file` is the only place the rule is evaluated: it scores one
-file's counters, and `compute_authorship` applies it to every live file
-of a snapshot that an earlier result does not already cover.  Floors and
-weights are parameters; the command line sets the floors and uses the
-default weights.
+file's frozen counters (creator, commit total, deliveries), and
+`compute_authorship` applies it to every live file of a snapshot that an
+earlier result does not already cover.  A developer is their canonical
+email, as the accumulator keys them; the ingest identity type does not
+reach this module.  Floors and weights are parameters; the command line
+sets the floors and uses the default weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-from .ingest import DeveloperId
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .snapshot import FileCounters, ReleaseSnapshot
-
-
-@dataclass(frozen=True, slots=True)
-class FileDevCounters:
-    """Per (file, developer) counters feeding the scoring formula."""
-
-    fa: int
-    dl: int
-    ac: int
-
-    def __post_init__(self):
-        if self.fa not in (0, 1):
-            raise ValueError("fa must be 0 or 1")
-        if self.dl < 0 or self.ac < 0:
-            raise ValueError("dl and ac must be non-negative")
+from .snapshot import FileCounters, ReleaseSnapshot
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,24 +46,24 @@ class DoaThresholds:
     def __post_init__(self):
         if not 0 < self.normalized_floor <= 1:
             raise ValueError("normalized_floor must be in (0, 1]")
-        if self.absolute_floor <= 0:
-            raise ValueError("absolute_floor must be positive")
+        if not (math.isfinite(self.absolute_floor) and self.absolute_floor > 0):
+            raise ValueError("absolute_floor must be finite and positive")
 
 
 DEFAULT_WEIGHTS = DoaWeights()
 DEFAULT_THRESHOLDS = DoaThresholds()
 
 
-def doa_absolute(counters: FileDevCounters, weights: DoaWeights = DEFAULT_WEIGHTS) -> float:
+def doa_absolute(fa: int, dl: int, ac: int, weights: DoaWeights = DEFAULT_WEIGHTS) -> float:
     return (weights.base
-            + weights.first_author * counters.fa
-            + weights.delivery * counters.dl
-            - weights.acceptance_log * math.log1p(counters.ac))
+            + weights.first_author * fa
+            + weights.delivery * dl
+            - weights.acceptance_log * math.log1p(ac))
 
 
 @dataclass(frozen=True, slots=True)
 class DevScore:
-    developer: DeveloperId
+    developer: str
     fa: int
     dl: int
     ac: int
@@ -93,41 +77,44 @@ class FileAuthorship:
     fid: int
     path: str
     scores: tuple[DevScore, ...]  # sorted by developer email
-    authors: frozenset[DeveloperId]
+    authors: frozenset[str]
     # the frozen counters the scores were computed from
-    counters: "FileCounters | None" = field(default=None, compare=False, repr=False)
+    counters: FileCounters = field(compare=False, repr=False)
 
 
-def score_file(counters: Mapping[DeveloperId, FileDevCounters],
+def score_file(counters: FileCounters,
                thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
                weights: DoaWeights = DEFAULT_WEIGHTS,
-               ) -> tuple[tuple[DevScore, ...], frozenset[DeveloperId]]:
+               ) -> tuple[tuple[DevScore, ...], frozenset[str]]:
     """Evaluate the scores and the author rule for one file's counters.
 
-    Returns one DevScore per developer, ordered by email, and the set of
-    developers passing both floors.
+    A developer's FA is 1 for the file's creator, DL their deliveries and
+    AC the file's commits by others.  Returns one DevScore per developer,
+    ordered by email, and the set of developers passing both floors.
     """
-    if not counters:
+    if not counters.deliveries:
         raise ValueError("file has no commits")
-    abs_scores = {dev: doa_absolute(c, weights) for dev, c in counters.items()}
-    peak = max(abs_scores.values())
+    creator, total = counters.creator, counters.total_commits
+    terms = []
+    for dev, dl in sorted(counters.deliveries.items()):
+        fa, ac = (1 if dev == creator else 0), total - dl
+        terms.append((dev, fa, dl, ac, doa_absolute(fa, dl, ac, weights)))
+    peak = max(term[4] for term in terms)
     if peak <= 0:
         raise ValueError("maximum absolute score is not positive; "
                          "normalization is undefined for these weights")
     scores = []
-    authors = set()
-    for dev in sorted(counters, key=DeveloperId.sort_key):
-        c = counters[dev]
-        score = abs_scores[dev]
+    authors = []
+    for dev, fa, dl, ac, score in terms:
         norm = score / peak
         is_author = norm > thresholds.normalized_floor and score >= thresholds.absolute_floor
         if is_author:
-            authors.add(dev)
-        scores.append(DevScore(dev, c.fa, c.dl, c.ac, score, norm, is_author))
+            authors.append(dev)
+        scores.append(DevScore(dev, fa, dl, ac, score, norm, is_author))
     return tuple(scores), frozenset(authors)
 
 
-def compute_authorship(snapshot: "ReleaseSnapshot",
+def compute_authorship(snapshot: ReleaseSnapshot,
                        thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
                        weights: DoaWeights = DEFAULT_WEIGHTS,
                        previous: "Mapping[int, FileAuthorship] | None" = None,
@@ -148,7 +135,7 @@ def compute_authorship(snapshot: "ReleaseSnapshot",
         fa = previous.get(fid)
         if fa is None or fa.counters is not counters or fa.path != path:
             try:
-                scores, authors = score_file(snapshot.counters_for(fid), thresholds, weights)
+                scores, authors = score_file(counters, thresholds, weights)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
             fa = FileAuthorship(fid, path, scores, authors, counters)
@@ -168,8 +155,8 @@ def author_proportion(authorship: Mapping[int, FileAuthorship], fids: "list[int]
     """Share of developers of the given live files who author at least one."""
     if not fids:
         raise ValueError("scope contains no live files")
-    developers: set[DeveloperId] = set()
-    authors: set[DeveloperId] = set()
+    developers: set[str] = set()
+    authors: set[str] = set()
     for fid in fids:
         fa = authorship[fid]
         developers.update(s.developer for s in fa.scores)

@@ -9,9 +9,10 @@ The expected input is one JSON object per line, oldest commit first:
 Unknown keys are ignored.  Merge and empty commits are records with an
 empty change list (the exporter writes them so): they count for nothing,
 but a release may end at one.  Only commit authors are represented,
-committers are not part of the schema at all.  A developer is identified
-by email (see DeveloperId); `resolve_aliases` lowercases emails and
-merges different ones through the alias map.
+committers are not part of the schema at all.  `DeveloperId` exists only
+here, at ingest: `resolve_aliases` lowercases emails and merges different
+ones through the alias map, and from the accumulator on a developer is
+their canonical email, a plain `str`.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class DeveloperId:
 
     name: str = field(compare=False)
     email: str
-
-    def sort_key(self) -> str:
-        return self.email
 
 
 class ChangeKind(Enum):

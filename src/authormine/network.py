@@ -5,7 +5,7 @@ who share at least one authored live file.  The graph is simple (no
 self-loops or multi-edges); edge weights record the number of shared
 files but every metric here is unweighted.  Metrics that are undefined
 for a given graph (no length-2 paths, zero degree variance) return
-None rather than a fake zero.
+None rather than a fake zero.  Vertices are authors' canonical emails.
 """
 
 from __future__ import annotations
@@ -14,19 +14,17 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .ingest import DeveloperId
-
-Edge = tuple[DeveloperId, DeveloperId]
+Edge = tuple[str, str]
 
 
 @dataclass(frozen=True)
 class CoauthorGraph:
-    vertices: tuple[DeveloperId, ...]
+    vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     weights: Mapping[Edge, int]
-    adjacency: Mapping[DeveloperId, frozenset[DeveloperId]]
+    adjacency: Mapping[str, frozenset[str]]
 
-    def degree(self, vertex: DeveloperId) -> int:
+    def degree(self, vertex: str) -> int:
         return len(self.adjacency[vertex])
 
     @property
@@ -38,7 +36,7 @@ class CoauthorGraph:
         return len(self.edges)
 
 
-def build_graph(authors: Iterable[DeveloperId],
+def build_graph(authors: Iterable[str],
                 weights: Mapping[Edge, int]) -> CoauthorGraph:
     """Co-authorship graph of one scope from its authors and the number of
     live files each co-author pair shares there, in sorted order.
@@ -46,20 +44,20 @@ def build_graph(authors: Iterable[DeveloperId],
     An empty scope yields an empty graph.  Solitary authors (degree 0)
     are retained as vertices.
     """
-    verts = tuple(sorted(set(authors), key=DeveloperId.sort_key))
+    verts = tuple(sorted(set(authors)))
     vert_set = set(verts)
-    adjacency: dict[DeveloperId, set[DeveloperId]] = {v: set() for v in verts}
+    adjacency: dict[str, set[str]] = {v: set() for v in verts}
     edge_weights: dict[Edge, int] = {}
     for (u, v), w in weights.items():
         if u == v:
             raise ValueError("self-loops are not allowed")
         if u not in vert_set or v not in vert_set:
             raise ValueError("edge endpoint is not a vertex")
-        a, b = sorted((u, v), key=DeveloperId.sort_key)
+        a, b = sorted((u, v))
         edge_weights[(a, b)] = edge_weights.get((a, b), 0) + w
         adjacency[a].add(b)
         adjacency[b].add(a)
-    edges = tuple(sorted(edge_weights, key=lambda e: (e[0].sort_key(), e[1].sort_key())))
+    edges = tuple(sorted(edge_weights))
     return CoauthorGraph(verts, edges, edge_weights,
                          {v: frozenset(neigh) for v, neigh in adjacency.items()})
 
@@ -120,5 +118,5 @@ def assortativity(graph: CoauthorGraph) -> "float | None":
     return cov / math.sqrt(var_x * var_y)
 
 
-def solitary_authors(graph: CoauthorGraph) -> frozenset[DeveloperId]:
+def solitary_authors(graph: CoauthorGraph) -> frozenset[str]:
     return frozenset(v for v in graph.vertices if graph.degree(v) == 0)

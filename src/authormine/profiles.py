@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Mapping
 
-from .ingest import DeveloperId
 from .workload import AuthorCounts
 
 
@@ -24,7 +23,7 @@ class ProfileBreakdown:
 
 
 def profile_proportions(counts: AuthorCounts,
-                        subsystems: "Mapping[DeveloperId, Collection[str]]",
+                        subsystems: "Mapping[str, Collection[str]]",
                         ) -> ProfileBreakdown:
     """Specialist/generalist split among the authors of one scope.
 

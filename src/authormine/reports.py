@@ -15,7 +15,6 @@ from json.encoder import encode_basestring
 from typing import IO, Collection, Iterable, Mapping, Sequence
 
 from .doa import DoaThresholds, DoaWeights, FileAuthorship, compute_authorship
-from .ingest import DeveloperId
 from .network import (CoauthorGraph, assortativity, build_graph, clustering_avg_local,
                       clustering_global, mean_degree, solitary_authors)
 from .profiles import profile_proportions
@@ -68,7 +67,7 @@ def authorship_rows(release_name: str, authorship: "dict[int, FileAuthorship]",
         rendered = tails.get(fa.fid)
         if rendered is None:
             rendered = tails[fa.fid] = [
-                (fa.path, s.developer.email, str(s.fa), str(s.dl), str(s.ac),
+                (fa.path, s.developer, str(s.fa), str(s.dl), str(s.ac),
                  fmt_float(s.doa_abs), fmt_float(s.doa_norm), "1" if s.is_author else "0")
                 for s in fa.scores]
         rows.extend(map(prefix.__add__, rendered))
@@ -102,7 +101,7 @@ def workload_row(release_name: str, scope: "str | None",
 
 
 def profiles_row(release_name: str, scope: "str | None", counts: AuthorCounts,
-                 subsystems: "Mapping[DeveloperId, Collection[str]]") -> list[str]:
+                 subsystems: "Mapping[str, Collection[str]]") -> list[str]:
     if not counts:
         return [release_name, scope_name(scope), "0", "0", "0", "NA"]
     breakdown = profile_proportions(counts, subsystems)
@@ -192,7 +191,7 @@ def release_graphs(snapshot: ReleaseSnapshot, rules: SubsystemRules,
 
 
 def edge_rows(graph: CoauthorGraph) -> list[list[str]]:
-    return [[u.email, v.email, str(graph.weights[(u, v)])] for u, v in graph.edges]
+    return [[u, v, str(graph.weights[(u, v)])] for u, v in graph.edges]
 
 
 def write_csv(fh: IO[str], header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
@@ -225,7 +224,7 @@ def write_pajek(fh: IO[str], graph: CoauthorGraph) -> None:
     index = {v: i for i, v in enumerate(graph.vertices, start=1)}
     fh.write(f"*Vertices {graph.n_vertices}\n")
     for v, i in index.items():
-        label = v.email.replace("\\", "\\\\").replace('"', '\\"')
+        label = v.replace("\\", "\\\\").replace('"', '\\"')
         fh.write(f'{i} "{label}"\n')
     fh.write("*Edges\n")
     for u, v in graph.edges:

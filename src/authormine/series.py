@@ -31,7 +31,6 @@ from itertools import combinations
 from typing import Hashable, Iterable
 
 from .doa import FileAuthorship
-from .ingest import DeveloperId
 from .network import Edge
 from .snapshot import ReleaseSnapshot
 
@@ -45,8 +44,8 @@ class SeriesState:
         self.authorship: dict[int, FileAuthorship] = {}
         self.labels: dict[str, str] = {}
         self.tails: dict[int, list[tuple[str, ...]]] = {}
-        self.author_counts: dict[str | None, dict[DeveloperId, int]] = {}
-        self.subsystem_counts: dict[DeveloperId, dict[str, int]] = {}
+        self.author_counts: dict[str | None, dict[str, int]] = {}
+        self.subsystem_counts: dict[str, dict[str, int]] = {}
         self.edge_weights: dict[str | None, dict[Edge, int]] = {}
         self.rescored = 0  # files of the last update whose results are new
 
@@ -95,7 +94,7 @@ class SeriesState:
         for scope in (None, label):
             _add(self.author_counts.setdefault(scope, {}), fa.authors, sign)
         if len(fa.authors) > 1:
-            pairs = tuple(combinations(sorted(fa.authors, key=DeveloperId.sort_key), 2))
+            pairs = tuple(combinations(sorted(fa.authors), 2))
             for scope in (None, label):
                 _add(self.edge_weights.setdefault(scope, {}), pairs, sign)
         for dev in fa.authors:

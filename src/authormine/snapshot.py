@@ -14,6 +14,10 @@ number of concurrent downstream analytics.  A snapshot shares the frozen
 counters of every file untouched since the previous release with that
 release's snapshot, so a file's counters object changes exactly when
 its counters or its life (creation, deletion, move) do.
+
+A developer is their canonical email, a plain `str`: the accumulator
+reads it once off each record's author, whose identity type goes no
+further than `ingest`, and keys every counter by it.
 """
 
 from __future__ import annotations
@@ -22,20 +26,20 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .doa import FileDevCounters
 from .errors import AuthormineError, BoundaryNotFoundError, ConfigError
-from .ingest import ChangeKind, CommitRecord, DeveloperId, ReleaseTag
+from .ingest import ChangeKind, CommitRecord, ReleaseTag
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class FileCounters:
-    """Frozen per-file accumulation state: creator, commit total, deliveries."""
+    """Frozen per-file accumulation state: creator, commit total, deliveries,
+    each developer given by email; all the author rule reads."""
 
-    creator: DeveloperId
+    creator: str
     total_commits: int
-    deliveries: Mapping[DeveloperId, int]
+    deliveries: Mapping[str, int]
 
 
 @dataclass(frozen=True)
@@ -51,25 +55,14 @@ class ReleaseSnapshot:
     live: Mapping[str, int]
     files: Mapping[int, FileCounters]
 
-    def counters_for(self, fid: int) -> dict[DeveloperId, FileDevCounters]:
-        state = self.files[fid]
-        return {
-            dev: FileDevCounters(
-                fa=1 if dev == state.creator else 0,
-                dl=dl,
-                ac=state.total_commits - dl,
-            )
-            for dev, dl in state.deliveries.items()
-        }
-
 
 class _FileState:
     __slots__ = ("creator", "total", "deliveries")
 
-    def __init__(self, creator: DeveloperId):
+    def __init__(self, creator: str):
         self.creator = creator
         self.total = 0
-        self.deliveries: dict[DeveloperId, int] = {}
+        self.deliveries: dict[str, int] = {}
 
 
 class _Accumulator:
@@ -83,7 +76,7 @@ class _Accumulator:
         self.dirty: set[int] = set()
         self.frozen: dict[int, FileCounters] = {}
 
-    def _deliver(self, fid: int, dev: DeveloperId, delivered: set[int]) -> None:
+    def _deliver(self, fid: int, dev: str, delivered: set[int]) -> None:
         # at most one delivery per (commit, logical file)
         if fid in delivered:
             return
@@ -92,7 +85,7 @@ class _Accumulator:
         state.total += 1
         state.deliveries[dev] = state.deliveries.get(dev, 0) + 1
 
-    def _create(self, path: str, dev: DeveloperId, delivered: set[int]) -> int:
+    def _create(self, path: str, dev: str, delivered: set[int]) -> int:
         fid = self._next_fid
         self._next_fid += 1
         self.files[fid] = _FileState(creator=dev)
@@ -100,7 +93,7 @@ class _Accumulator:
         self._deliver(fid, dev, delivered)
         return fid
 
-    def _add(self, commit_id: str, path: str, dev: DeveloperId, delivered: set[int]) -> None:
+    def _add(self, commit_id: str, path: str, dev: str, delivered: set[int]) -> None:
         fid = self.live.get(path)
         if fid is not None:
             logger.warning("commit %s adds already-live path %s; treating as a change",
@@ -109,7 +102,7 @@ class _Accumulator:
         else:
             self._create(path, dev, delivered)
 
-    def _modify(self, commit_id: str, path: str, dev: DeveloperId, delivered: set[int]) -> None:
+    def _modify(self, commit_id: str, path: str, dev: str, delivered: set[int]) -> None:
         fid = self.live.get(path)
         if fid is not None:
             self._deliver(fid, dev, delivered)
@@ -118,7 +111,7 @@ class _Accumulator:
                            "implicit creation (truncated history?)", commit_id, path)
             self._create(path, dev, delivered)
 
-    def _delete(self, commit_id: str, path: str, dev: DeveloperId, delivered: set[int]) -> None:
+    def _delete(self, commit_id: str, path: str, dev: str, delivered: set[int]) -> None:
         fid = self.live.pop(path, None)
         if fid is not None:
             self._deliver(fid, dev, delivered)
@@ -129,7 +122,7 @@ class _Accumulator:
             del self.live[path]
 
     def _rename(self, commit_id: str, new_path: str, old_path: str,
-                dev: DeveloperId, delivered: set[int]) -> None:
+                dev: str, delivered: set[int]) -> None:
         if not self.follow_renames:
             self._delete(commit_id, old_path, dev, delivered)
             self._add(commit_id, new_path, dev, delivered)
@@ -149,17 +142,18 @@ class _Accumulator:
     def feed(self, record: CommitRecord) -> None:
         if not record.changes:  # empty, merge or fully excluded; only the id matters
             return
+        dev = record.author.email
         delivered: set[int] = set()
         for change in record.changes:
             if change.kind is ChangeKind.ADD:
-                self._add(record.commit_id, change.path, record.author, delivered)
+                self._add(record.commit_id, change.path, dev, delivered)
             elif change.kind is ChangeKind.MODIFY:
-                self._modify(record.commit_id, change.path, record.author, delivered)
+                self._modify(record.commit_id, change.path, dev, delivered)
             elif change.kind is ChangeKind.DELETE:
-                self._delete(record.commit_id, change.path, record.author, delivered)
+                self._delete(record.commit_id, change.path, dev, delivered)
             else:
-                self._rename(record.commit_id, change.path, change.old_path,
-                             record.author, delivered)
+                self._rename(record.commit_id, change.path, change.old_path, dev,
+                             delivered)
         self.dirty |= delivered
 
     def freeze(self, release: ReleaseTag) -> ReleaseSnapshot:

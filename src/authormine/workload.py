@@ -14,12 +14,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import DeveloperId
-
 WorkloadSample = Sequence[float]
-# authored live files per author in one scope, the one table that the
-# workload and profile statistics of a scope read
-AuthorCounts = Mapping[DeveloperId, int]
+# authored live files per author email in one scope, the one table that
+# the workload and profile statistics of a scope read
+AuthorCounts = Mapping[str, int]
 
 
 def files_per_author(counts: AuthorCounts) -> list[int]:

@@ -11,12 +11,16 @@ from authormine import (ChangeKind, CommitRecord, CoauthorGraph, DeveloperId,
 from authormine.reports import advance
 
 
-def dev(i: int) -> DeveloperId:
-    return DeveloperId(f"Dev {i}", f"d{i}@example.org")
+def dev(i: int) -> str:
+    """Developer i as the engine keys them: by canonical email."""
+    return f"d{i}@example.org"
 
 
-def make_record(commit_id: str, author: DeveloperId, ts: int,
+def make_record(commit_id: str, author: "DeveloperId | str", ts: int,
                 changes: list[tuple]) -> CommitRecord:
+    """A commit record; an `author` given as an email is named after it."""
+    if isinstance(author, str):
+        author = DeveloperId(author, author)
     parsed = []
     for entry in changes:
         if entry[0] == "R":
@@ -48,9 +52,9 @@ def engine_view(snapshot: ReleaseSnapshot, authorship: "dict[int, FileAuthorship
     view = {}
     for fa in authorship.values():
         view[fa.path] = {
-            "counters": {s.developer.email: (s.fa, s.dl, s.ac) for s in fa.scores},
-            "doa": {s.developer.email: (s.doa_abs, s.doa_norm) for s in fa.scores},
-            "authors": {d.email for d in fa.authors},
+            "counters": {s.developer: (s.fa, s.dl, s.ac) for s in fa.scores},
+            "doa": {s.developer: (s.doa_abs, s.doa_norm) for s in fa.scores},
+            "authors": set(fa.authors),
         }
     return view
 
@@ -70,7 +74,7 @@ def assert_views_match(engine: dict, oracle: dict, tol: float = 1e-9) -> None:
 
 def graph_from_data(vertices: list[int], edges: set) -> CoauthorGraph:
     """Build a package graph from oracle-style integer vertex data."""
-    devs = {i: DeveloperId(f"Dev {i:02d}", f"d{i:02d}@example.org") for i in vertices}
+    devs = {i: f"d{i:02d}@example.org" for i in vertices}
     weights = {}
     for e in edges:
         u, v = sorted(e)
@@ -85,13 +89,9 @@ def canonical_snapshot_json(snapshot: ReleaseSnapshot) -> str:
         "live": {path: fid for path, fid in sorted(snapshot.live.items())},
         "files": {
             str(fid): {
-                "creator": [fc.creator.name, fc.creator.email],
+                "creator": fc.creator,
                 "total": fc.total_commits,
-                "deliveries": {
-                    f"{d.name}|{d.email}": n
-                    for d, n in sorted(fc.deliveries.items(),
-                                       key=lambda kv: kv[0].sort_key())
-                },
+                "deliveries": dict(sorted(fc.deliveries.items())),
             }
             for fid, fc in sorted(snapshot.files.items())
         },

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from authormine import (DoaThresholds, DoaWeights, FileDevCounters, ReleaseTag,
+from authormine import (DoaThresholds, DoaWeights, FileCounters, ReleaseTag,
                         assortativity, clustering_avg_local, clustering_global,
                         compute_authorship, doa_absolute, gini, iter_snapshots,
                         make_rules, mean_degree, medcouple, profile_proportions,
@@ -43,7 +43,7 @@ def test_criterion_1_doa_unit_vector():
             ((0, 1, 20), 2.4797),
         ]
         for (fa, dl, ac), expected in cases:
-            value = doa_absolute(FileDevCounters(fa, dl, ac))
+            value = doa_absolute(fa, dl, ac)
             assert abs(value - expected) <= 1e-4, (fa, dl, ac, value)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -56,32 +56,34 @@ def test_criterion_2_author_rule_boundaries():
             return {s.developer: s.doa_norm for s in scores}, authors
 
         # normalized score exactly 0.75 is NOT enough (strict floor);
-        # weights engineered to make the ratio exact in floating point
+        # weights engineered to make the ratio exact in floating point;
+        # (fa, dl, ac) is (1, 3, 2) for dev 1 and (0, 2, 3) for dev 2
         weights = DoaWeights(base=1.0, first_author=0.0, delivery=1.0,
                              acceptance_log=0.0)
-        counters = {dev(1): FileDevCounters(1, 3, 2),
-                    dev(2): FileDevCounters(0, 2, 3)}
+        counters = FileCounters(dev(1), 5, {dev(1): 3, dev(2): 2})
         thresholds = DoaThresholds(normalized_floor=0.75, absolute_floor=3.0)
         norms, authors = verdict(counters, thresholds, weights)
         assert norms[dev(2)] == 0.75
-        assert doa_absolute(counters[dev(2)], weights) >= thresholds.absolute_floor
+        assert doa_absolute(0, 2, 3, weights) >= thresholds.absolute_floor
         assert dev(2) not in authors
 
         # absolute score exactly 3.293 with normalized > 0.75 IS an author
-        # (default weights: FA=DL=AC=0 hits the base constant exactly)
-        at_floor = {dev(1): FileDevCounters(0, 0, 0),
-                    dev(2): FileDevCounters(0, 0, 0)}
+        # (default weights: FA=DL=AC=0 hits the base constant exactly, which
+        # takes counters no history accumulates: a creator outside the
+        # deliveries and no commits)
+        at_floor = FileCounters(dev(0), 0, {dev(1): 0, dev(2): 0})
         norms, authors = verdict(at_floor)
-        assert doa_absolute(at_floor[dev(2)]) == 3.293
+        assert doa_absolute(0, 0, 0) == 3.293
         assert norms[dev(2)] > 0.75
         assert dev(2) in authors
 
-        # conjunction: high normalized score cannot rescue a sub-floor absolute
-        mixed = {dev(1): FileDevCounters(0, 1, 0),
-                 dev(2): FileDevCounters(0, 0, 1)}
+        # conjunction: high normalized score cannot rescue a sub-floor absolute;
+        # (fa, dl, ac) is (0, 1, 0) for dev 1 and (0, 0, 1) for dev 2, again
+        # with the creator outside the deliveries
+        mixed = FileCounters(dev(0), 1, {dev(1): 1, dev(2): 0})
         norms, authors = verdict(mixed)
         assert norms[dev(2)] > 0.75
-        assert doa_absolute(mixed[dev(2)]) < 3.293
+        assert doa_absolute(0, 0, 1) < 3.293
         assert dev(2) not in authors
 
 
@@ -156,7 +158,7 @@ def test_criterion_5_graph_metric_oracles():
                     assert actual is None
                 else:
                     assert abs(actual - expected) <= 1e-9
-            solitary = {int(v.email[1:3]) for v in solitary_authors(graph)}
+            solitary = {int(v[1:3]) for v in solitary_authors(graph)}
             assert solitary == oracles.graph_solitary(vertices, edges)
 
 

@@ -38,3 +38,18 @@ def test_every_public_name_is_used():
         if uses == 0 and name not in documented and name not in ALLOWED:
             unused.append(name)
     assert unused == [], f"exported but used nowhere in the package or README: {unused}"
+
+
+def test_developer_identity_is_the_email_past_ingest():
+    """`DeveloperId` is the ingest record's author and nothing more: the
+    engine keys developers by canonical email, and scores straight from
+    each file's frozen counters."""
+    package = ROOT / "src" / "authormine"
+    naming = sorted(path.name for path in package.glob("*.py")
+                    if re.search(r"\bDeveloperId\b", path.read_text(encoding="utf-8")))
+    assert naming == ["__init__.py", "ingest.py"]
+    removed = re.compile(r"\b(?:FileDevCounters|counters_for|sort_key)\b")
+    stale = sorted(str(path.relative_to(ROOT)) for path in package.rglob("*")
+                   if path.is_file() and path.suffix != ".pyc"
+                   and removed.search(path.read_text(encoding="utf-8", errors="replace")))
+    assert stale == []

@@ -7,6 +7,9 @@ import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from authormine import iter_snapshots
 from authormine.cli import main
@@ -41,6 +44,22 @@ class TestAnalyze:
         assert run_analyze(second) == 0
         for name in CSV_NAMES + ["manifest.json"]:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_goldens_under_any_hash_seed(self, tmp_path):
+        # sets and dicts keyed by email strings iterate in an order that
+        # depends on the interpreter's hash seed; no output may
+        src = Path(__file__).resolve().parent.parent / "src"
+        for seed in ("0", "12345"):
+            out = tmp_path / seed
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "authormine.cli", "analyze", *base_args(),
+                 "-o", str(out)], env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            for name in CSV_NAMES + ["manifest.json"]:
+                assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), \
+                    f"{name} deviates from golden under PYTHONHASHSEED={seed}"
 
     def test_manifest_outputs_digests_are_consistent(self, tmp_path):
         assert run_analyze(tmp_path) == 0
@@ -124,10 +143,17 @@ class TestAnalyze:
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
 
-    def test_invalid_threshold_is_config_error(self, tmp_path):
-        code = main(["analyze", *base_args(), "-o", str(tmp_path),
-                     "--norm-floor", "0"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--norm-floor", "0", "normalized_floor must be in (0, 1]"),
+        ("--abs-floor", "nan", "absolute_floor must be finite and positive"),
+        ("--abs-floor", "inf", "absolute_floor must be finite and positive"),
+    ], ids=["norm-floor-0", "abs-floor-nan", "abs-floor-inf"])
+    def test_invalid_threshold_is_config_error(self, tmp_path, capsys, flag, value,
+                                               message):
+        code = main(["analyze", *base_args(), "-o", str(tmp_path), flag, value])
         assert code == 2
+        assert capsys.readouterr().err == f"authormine: configuration error: {message}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_malformed_log_cleans_outputs(self, tmp_path):
         bad_log = tmp_path / "bad.ndjson"

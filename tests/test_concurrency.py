@@ -3,7 +3,7 @@
 from concurrent.futures import ThreadPoolExecutor
 
 from authormine import (DoaThresholds, DoaWeights, compute_authorship, default_rules,
-                        iter_snapshots)
+                        iter_snapshots, score_file)
 from authormine.reports import release_report
 from helpers import canonical_snapshot_json, snapshot_at
 
@@ -29,5 +29,5 @@ def test_snapshot_unchanged_by_reads(fixture_records, fixture_releases):
     before = canonical_snapshot_json(snap)
     compute_authorship(snap)
     for fid in snap.live.values():
-        snap.counters_for(fid)
+        score_file(snap.files[fid])
     assert canonical_snapshot_json(snap) == before

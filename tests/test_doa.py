@@ -6,18 +6,25 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from authormine import (DoaThresholds, DoaWeights, FileDevCounters, ReleaseTag,
+from authormine import (DoaThresholds, DoaWeights, FileCounters, ReleaseTag,
                         author_proportion, compute_authorship, doa_absolute, score_file)
 import oracles
 from helpers import (assert_views_match, counted, dev, engine_view, make_record,
                      records_from_oracle, snapshot_at)
 
-counters_strategy = st.builds(
-    FileDevCounters,
-    fa=st.integers(0, 1),
-    dl=st.integers(0, 500),
-    ac=st.integers(0, 500),
-)
+# one developer's (fa, dl, ac), for the formula alone
+triples = st.tuples(st.integers(0, 1), st.integers(0, 500), st.integers(0, 500))
+
+
+@st.composite
+def file_counters(draw):
+    """One file's counters as the accumulator freezes them: every developer
+    delivered at least once, the creator is one of them, and the total is
+    the sum of the deliveries."""
+    deliveries = draw(st.dictionaries(st.integers(0, 7).map(dev), st.integers(1, 500),
+                                      min_size=1, max_size=8))
+    creator = draw(st.sampled_from(sorted(deliveries)))
+    return FileCounters(creator, sum(deliveries.values()), deliveries)
 
 
 class TestDoaAbsolute:
@@ -28,32 +35,27 @@ class TestDoaAbsolute:
         (0, 1, 20, 2.4797),
     ])
     def test_reference_values(self, fa, dl, ac, expected):
-        assert doa_absolute(FileDevCounters(fa, dl, ac)) == pytest.approx(
-            expected, abs=1e-4)
+        assert doa_absolute(fa, dl, ac) == pytest.approx(expected, abs=1e-4)
 
-    @given(counters_strategy)
+    @given(triples)
     def test_matches_direct_formula(self, c):
-        expected = 3.293 + 1.098 * c.fa + 0.164 * c.dl - 0.321 * math.log(1 + c.ac)
-        assert doa_absolute(c) == pytest.approx(expected, abs=1e-12)
+        fa, dl, ac = c
+        expected = 3.293 + 1.098 * fa + 0.164 * dl - 0.321 * math.log(1 + ac)
+        assert doa_absolute(fa, dl, ac) == pytest.approx(expected, abs=1e-12)
 
-    @given(counters_strategy)
+    @given(triples)
     def test_monotonic_in_own_work(self, c):
-        base = doa_absolute(c)
-        assert doa_absolute(FileDevCounters(c.fa, c.dl + 1, c.ac)) > base
-        assert doa_absolute(FileDevCounters(c.fa, c.dl, c.ac + 1)) < base
-        if c.fa == 0:
-            assert doa_absolute(FileDevCounters(1, c.dl, c.ac)) > base
-
-    def test_counter_validation(self):
-        with pytest.raises(ValueError):
-            FileDevCounters(2, 0, 0)
-        with pytest.raises(ValueError):
-            FileDevCounters(0, -1, 0)
+        fa, dl, ac = c
+        base = doa_absolute(fa, dl, ac)
+        assert doa_absolute(fa, dl + 1, ac) > base
+        assert doa_absolute(fa, dl, ac + 1) < base
+        if fa == 0:
+            assert doa_absolute(1, dl, ac) > base
 
 
-def two_dev_counters(dl1, ac1, dl2, ac2):
-    return {dev(1): FileDevCounters(1, dl1, ac1),
-            dev(2): FileDevCounters(0, dl2, ac2)}
+def two_dev_counters(dl1, dl2):
+    """A file created by dev 1, with dl1 commits by dev 1 and dl2 by dev 2."""
+    return FileCounters(dev(1), dl1 + dl2, {dev(1): dl1, dev(2): dl2})
 
 
 def norms(counters, weights=DoaWeights()):
@@ -67,73 +69,77 @@ def authors_of(counters, thresholds=DoaThresholds(), weights=DoaWeights()):
     return score_file(counters, thresholds, weights)[1]
 
 
+SOLE_CREATOR = FileCounters(dev(1), 1, {dev(1): 1})
+
+
 class TestDoaNormalized:
     def test_sole_changer_is_one(self):
-        counters = {dev(1): FileDevCounters(1, 1, 0)}
-        assert norms(counters)[dev(1)] == 1.0
+        assert norms(SOLE_CREATOR)[dev(1)] == 1.0
 
     def test_creator_plus_five_mods(self):
-        counters = two_dev_counters(1, 5, 5, 1)
+        counters = two_dev_counters(1, 5)
         assert norms(counters)[dev(2)] == pytest.approx(0.9776, abs=1e-4)
 
     def test_dominant_creator(self):
-        counters = two_dev_counters(20, 1, 1, 20)
+        counters = two_dev_counters(20, 1)
         assert norms(counters)[dev(2)] == pytest.approx(0.3329, abs=1e-4)
 
     def test_degenerate_weights_rejected(self):
-        counters = {dev(1): FileDevCounters(0, 1, 0)}
         weights = DoaWeights(base=-1.0, first_author=0.0, delivery=0.5,
                              acceptance_log=0.0)
         with pytest.raises(ValueError):
-            norms(counters, weights)
+            norms(SOLE_CREATOR, weights)
 
-    @given(st.lists(counters_strategy, min_size=1, max_size=8))
-    def test_argmax_scores_exactly_one(self, counter_list):
-        counters = {dev(i): c for i, c in enumerate(counter_list)}
-        best = max(counters, key=lambda d: doa_absolute(counters[d]))
+    @given(file_counters())
+    def test_argmax_scores_exactly_one(self, counters):
+        def absolute(d):
+            dl = counters.deliveries[d]
+            return doa_absolute(int(d == counters.creator), dl, counters.total_commits - dl)
+
+        best = max(counters.deliveries, key=absolute)
         scored = norms(counters)
         assert scored[best] == 1.0
-        for d in counters:
+        for d in counters.deliveries:
             assert 0 < scored[d] <= 1.0
 
 
 class TestAuthorsOf:
     def test_sole_creator(self):
-        counters = {dev(1): FileDevCounters(1, 1, 0)}
-        assert doa_absolute(counters[dev(1)]) == pytest.approx(4.555, abs=1e-4)
-        assert authors_of(counters) == {dev(1)}
+        assert doa_absolute(1, 1, 0) == pytest.approx(4.555, abs=1e-4)
+        assert authors_of(SOLE_CREATOR) == {dev(1)}
 
     def test_active_second_developer_included(self):
-        assert authors_of(two_dev_counters(1, 5, 5, 1)) == {dev(1), dev(2)}
+        assert authors_of(two_dev_counters(1, 5)) == {dev(1), dev(2)}
 
     def test_marginal_second_developer_excluded(self):
-        assert authors_of(two_dev_counters(20, 1, 1, 20)) == {dev(1)}
+        assert authors_of(two_dev_counters(20, 1)) == {dev(1)}
 
     def test_empty_counters_rejected(self):
         with pytest.raises(ValueError):
-            authors_of({})
+            authors_of(FileCounters(dev(1), 0, {}))
 
     def test_normalized_floor_is_strict(self):
-        # engineered so dev2's normalized score is exactly 0.75
+        # engineered so dev2's normalized score is exactly 0.75:
+        # dev1 (fa, dl, ac) = (1, 3, 2), dev2 (0, 2, 3)
         weights = DoaWeights(base=1.0, first_author=0.0, delivery=1.0,
                              acceptance_log=0.0)
-        counters = {dev(1): FileDevCounters(1, 3, 2), dev(2): FileDevCounters(0, 2, 3)}
+        counters = two_dev_counters(3, 2)
         thresholds = DoaThresholds(normalized_floor=0.75, absolute_floor=3.0)
         assert norms(counters, weights)[dev(2)] == 0.75
-        assert doa_absolute(counters[dev(2)], weights) >= 3.0
+        assert doa_absolute(0, 2, 3, weights) >= 3.0
         assert authors_of(counters, thresholds, weights) == {dev(1)}
 
     def test_absolute_floor_is_inclusive(self):
-        # absolute score exactly at the floor with normalized > 0.75 passes
-        counters = {dev(1): FileDevCounters(1, 1, 0), dev(2): FileDevCounters(0, 1, 0)}
-        exact = doa_absolute(counters[dev(2)])
+        # absolute score exactly at the floor with normalized > 0.75 passes:
+        # dev1 (fa, dl, ac) = (1, 1, 1), dev2 (0, 1, 1)
+        counters = two_dev_counters(1, 1)
+        exact = doa_absolute(0, 1, 1)
         thresholds = DoaThresholds(normalized_floor=0.7, absolute_floor=exact)
         assert norms(counters)[dev(2)] > 0.7
         assert dev(2) in authors_of(counters, thresholds)
 
     def test_creator_dominance_at_birth(self):
-        counters = {dev(1): FileDevCounters(1, 1, 0)}
-        assert authors_of(counters) == {dev(1)}
+        assert authors_of(SOLE_CREATOR) == {dev(1)}
 
     def test_thresholds_validation(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,10 @@ import random
 import pytest
 
 from authormine import (AuthormineError, BoundaryNotFoundError, ChangeKind, ConfigError,
-                        DeveloperId, FileChange, LogParseError, LogSchemaError, ReleaseTag,
-                        apply_path_filters, compute_authorship, iter_snapshots,
-                        load_alias_map, load_releases, parse_commit_log,
-                        resolve_aliases)
+                        DeveloperId, FileChange, FileCounters, LogParseError,
+                        LogSchemaError, ReleaseTag, apply_path_filters, compute_authorship,
+                        iter_snapshots, load_alias_map, load_releases, parse_commit_log,
+                        resolve_aliases, score_file)
 import oracles
 from conftest import FIXTURE_ALIASES
 from helpers import (assert_views_match, canonical_snapshot_json, dev, engine_view,
@@ -161,9 +161,7 @@ class TestResolveAliases:
         assert any("different names" in r.message for r in caplog.records)
         # one email is one developer, whatever the name
         snap = snapshot_at(resolved, ReleaseTag("r", "c2"))
-        counters = snap.counters_for(snap.live["a.c"])
-        assert [(d.email, c.fa, c.dl, c.ac) for d, c in counters.items()] == \
-            [("b@x.org", 1, 2, 0)]
+        assert snap.files[snap.live["a.c"]] == FileCounters("b@x.org", 2, {"b@x.org": 2})
 
 
 class TestApplyPathFilters:
@@ -203,10 +201,7 @@ class TestSnapshotAt:
         recs = [make_record("c1", dev(1), 1, [("A", "f")])]
         snap = snapshot_at(recs, ReleaseTag("r", "c1"))
         assert set(snap.live) == {"f"}
-        counters = snap.counters_for(snap.live["f"])
-        assert counters[dev(1)].fa == 1
-        assert counters[dev(1)].dl == 1
-        assert counters[dev(1)].ac == 0
+        assert snap.files[snap.live["f"]] == FileCounters(dev(1), 1, {dev(1): 1})
 
     def test_delete_retains_counters(self):
         recs = [
@@ -227,10 +222,8 @@ class TestSnapshotAt:
         ]
         snap = snapshot_at(recs, ReleaseTag("r", "c2"))
         assert set(snap.live) == {"b"}
-        counters = snap.counters_for(snap.live["b"])
-        assert counters[dev(1)] == type(counters[dev(1)])(fa=1, dl=1, ac=1)
-        assert counters[dev(2)].fa == 0
-        assert counters[dev(2)].dl == 1
+        assert snap.files[snap.live["b"]] == \
+            FileCounters(dev(1), 2, {dev(1): 1, dev(2): 1})
 
     def test_rename_nofollow_resets_counters(self):
         recs = [
@@ -238,9 +231,9 @@ class TestSnapshotAt:
             make_record("c2", dev(2), 2, [("R", "b", "a")]),
         ]
         snap = snapshot_at(recs, ReleaseTag("r", "c2"), follow_renames=False)
-        counters = snap.counters_for(snap.live["b"])
-        assert set(counters) == {dev(2)}
-        assert counters[dev(2)].fa == 1
+        counters = snap.files[snap.live["b"]]
+        assert set(counters.deliveries) == {dev(2)}
+        assert counters.creator == dev(2)
 
     def test_recreation_gets_fresh_counters(self):
         recs = [
@@ -249,8 +242,7 @@ class TestSnapshotAt:
             make_record("c3", dev(3), 3, [("A", "f")]),
         ]
         snap = snapshot_at(recs, ReleaseTag("r", "c3"))
-        counters = snap.counters_for(snap.live["f"])
-        assert set(counters) == {dev(3)}
+        assert set(snap.files[snap.live["f"]].deliveries) == {dev(3)}
         assert len(snap.files) == 2  # dead incarnation retained
 
     def test_modify_unknown_path_warns_and_creates(self, caplog):
@@ -258,8 +250,7 @@ class TestSnapshotAt:
         with caplog.at_level("WARNING"):
             snap = snapshot_at(recs, ReleaseTag("r", "c1"))
         assert set(snap.live) == {"ghost.c"}
-        counters = snap.counters_for(snap.live["ghost.c"])
-        assert counters[dev(1)].fa == 1
+        assert snap.files[snap.live["ghost.c"]].creator == dev(1)
         assert any("implicit creation" in r.message for r in caplog.records)
 
     def test_boundary_not_found(self):
@@ -292,8 +283,7 @@ class TestSnapshotAt:
         recs = [make_record("c1", dev(1), 1, [("A", "a"), ("A", "b")])]
         snap = snapshot_at(recs, ReleaseTag("r", "c1"))
         for path in ("a", "b"):
-            counters = snap.counters_for(snap.live[path])
-            assert counters[dev(1)].dl == 1
+            assert snap.files[snap.live[path]].deliveries[dev(1)] == 1
 
     def test_boundary_mid_stream(self):
         recs = [
@@ -332,8 +322,8 @@ class TestInvariantsAndProperties:
             for state in snap.files.values():
                 assert sum(state.deliveries.values()) == state.total_commits
             for fid in snap.live.values():
-                for c in snap.counters_for(fid).values():
-                    assert c.dl + c.ac == snap.files[fid].total_commits
+                for s in score_file(snap.files[fid])[0]:
+                    assert s.dl + s.ac == snap.files[fid].total_commits
 
     def test_incremental_equals_from_scratch(self, fixture_records, fixture_releases):
         incremental = list(iter_snapshots(fixture_records, fixture_releases))
@@ -349,7 +339,7 @@ class TestInvariantsAndProperties:
             live, incs, devs = oracles.replay(oracle_records, tag.boundary, True)
             assert_views_match(engine_view(snap, compute_authorship(snap)),
                                oracles.authorship_view(live, incs))
-            delivered = {d.email for fc in snap.files.values() for d in fc.deliveries}
+            delivered = {d for fc in snap.files.values() for d in fc.deliveries}
             assert delivered == {e for _, e in devs}
 
 
