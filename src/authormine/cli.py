@@ -7,6 +7,7 @@ import contextlib
 import csv
 import logging
 import os
+import posixpath
 import re
 import shutil
 import sys
@@ -223,7 +224,8 @@ def cmd_authors(config: RunConfig, file_path: str, release_name: str) -> int:
     tag = _find_release(config, release_name)
     with _snapshot_stream(config, releases=[tag]) as snapshots:
         snap = next(snapshots)
-    fid = snap.live.get(file_path)
+    # ingest stores every path normalised, so `./a/b` and `a//b` name `a/b`
+    fid = snap.live.get(posixpath.normpath(file_path))
     if fid is None:
         raise AuthormineError(f"file {file_path!r} not live at {release_name}")
     scores, _ = score_file(snap.files[fid], config.thresholds)

@@ -9,10 +9,11 @@ boxplot fences, the Gini inequality coefficient and top-k author shares.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
-
-import numpy as np
 
 WorkloadSample = Sequence[float]
 # authored live files per author email in one scope, the one table that
@@ -41,38 +42,51 @@ def quantile(sample: WorkloadSample, p: float) -> float:
     return xs[lo] + (h - lo) * (xs[hi] - xs[lo])
 
 
-def medcouple(sample: WorkloadSample) -> float:
+def medcouple(sample: Sequence[int]) -> float:
     """Robust skewness in [-1, 1]: the median of the couple kernel
     h(x_i, x_j) = ((x_j - m) - (m - x_i)) / (x_j - x_i) over pairs with
     x_i <= m <= x_j, where ties at the median fall back to a sign kernel.
 
-    Evaluation is the O(n^2) kernel matrix, which is exact and adequate
-    for per-scope author counts.
+    The kernel is evaluated once per pair of distinct values of z = x - m,
+    weighted by how often each value occurs.  The t values tied at the
+    median contribute their t x t sign kernel as three weights: t(t-1)/2
+    at -1, t at 0 and t(t-1)/2 at +1.  The median is read from the
+    sorted weighted kernel at ranks (N-1)//2 and N//2.  Each kernel value
+    is the same float operation on the same operands as over the full
+    pair matrix, so the result is exact, not an approximation.
+
+    A sample of positive integer counts with sum S has at most floor(m)
+    distinct values at or below the median and at most sqrt(2S) at or
+    above it, so at most floor(m) * sqrt(2S) pairs are evaluated, O(S)
+    at worst.  A sample of many distinct non-integer values gets no such
+    bound: its pairs grow with n^2, one Python tuple each, so 3000
+    distinct floats (2.25 million pairs) take seconds and hundreds of
+    megabytes.
     """
-    xs = np.sort(np.asarray(sample, dtype=np.float64))
-    n = xs.size
+    n = len(sample)
     if n < 3:
         raise ValueError("medcouple requires at least 3 values")
+    xs = sorted(map(float, sample))
     if n % 2 == 0:
         m = 0.5 * (xs[n // 2 - 1] + xs[n // 2])
     else:
         m = xs[(n - 1) // 2]
-    z = xs - m
-    lower = z[z <= 0.0]
-    upper = z[z >= 0.0][:, None]
-    denom = upper - lower
-    both_zero = (lower == 0.0) & (upper == 0.0)
-    denom[both_zero] = np.inf
-    h = (upper + lower) / denom
-    ties = int(np.count_nonzero(lower == 0.0))
+    zs = Counter(x - m for x in xs)
+    lower = [(zl, cl) for zl, cl in zs.items() if zl <= 0.0]
+    upper = [(zu, cu) for zu, cu in zs.items() if zu >= 0.0]
+    kernel = [((zu + zl) / (zu - zl), cu * cl)
+              for zu, cu in upper for zl, cl in lower if zu or zl]
+    ties = zs.get(0.0, 0)
     if ties:
-        # sign kernel for median ties: -1 above the anti-diagonal, 0 on
-        # it, +1 below; rows are the zero uppers, columns the zero lowers
-        block = np.ones((ties, ties)) - np.eye(ties)
-        block -= 2 * np.triu(block)
-        block = np.fliplr(block)
-        h[:ties, -ties:] = block
-    return float(np.median(h))
+        half = ties * (ties - 1) // 2
+        kernel += [(-1.0, half), (0.0, ties), (1.0, half)]
+    kernel.sort()
+    # ranks[i] counts the kernel values up to and including entry i
+    ranks = list(accumulate(weight for _, weight in kernel))
+    n_pairs = ranks[-1]
+    a = kernel[bisect_right(ranks, (n_pairs - 1) // 2)][0]
+    b = kernel[bisect_right(ranks, n_pairs // 2)][0]
+    return (a + b) / 2
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,7 +2,10 @@
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import authormine
@@ -53,3 +56,14 @@ def test_developer_identity_is_the_email_past_ingest():
                    if path.is_file() and path.suffix != ".pyc"
                    and removed.search(path.read_text(encoding="utf-8", errors="replace")))
     assert stale == []
+
+
+def test_cli_imports_no_array_library():
+    """The package has no runtime dependency: loading the command line
+    pulls in no numpy, whose import alone costs every command time and
+    memory before it reads the log."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = "import sys, authormine.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

@@ -229,6 +229,13 @@ class TestAuthors:
         norms = [float(line.split(",")[2]) for line in lines]
         assert norms == sorted(norms, reverse=True)
 
+    @pytest.mark.parametrize("spelling", ["./Documentation/guide.rst",
+                                          "Documentation//guide.rst"])
+    def test_path_is_normalised_like_ingest(self, spelling, capsys):
+        code = main(["authors", *base_args(), spelling, "--release", "v0.3"])
+        assert code == 0
+        assert capsys.readouterr().out == "eve@example.org,4.555000,1.000000\n"
+
     def test_deleted_file_not_live(self, tmp_path, capsys):
         # sound/pci/hda.c is deleted at c032; query the release before re-creation
         releases = tmp_path / "releases.txt"

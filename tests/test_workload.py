@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,11 +112,34 @@ class TestMedcouple:
         assert medcouple(sample) == pytest.approx(
             oracles.medcouple_enum(sample), abs=1e-9)
 
+    @given(st.lists(st.sampled_from([1, 1, 1, 2, 2, 3, 5, 40, 700]),
+                    min_size=3, max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_tie_heavy_counts_match_enumeration_oracle(self, sample):
+        assert medcouple(sample) == pytest.approx(
+            oracles.medcouple_enum(sample), abs=1e-9)
+
     def test_bounded(self):
         rng = random.Random(7)
         for _ in range(50):
             sample = [rng.randint(0, 50) for _ in range(rng.randint(3, 30))]
             assert -1.0 <= medcouple(sample) <= 1.0
+
+    def test_memory_bounded_by_distinct_values(self):
+        # 2000 files-per-author counts, most of them 1 or 2: the kernel
+        # is evaluated per distinct (lower, upper) pair, not per author pair
+        rng = random.Random(5)
+        counts = [1] * 12 + [2] * 5 + [3, 3, 4, 5, 7, 9, 12] + list(range(15, 700, 25))
+        sample = [rng.choice(counts) for _ in range(2000)]
+        assert len(set(sample)) <= 40
+        tracemalloc.start()
+        try:
+            mc = medcouple(sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mc == pytest.approx(oracles.medcouple_enum(sample), abs=1e-9)
+        assert peak < 2 * 2**20
 
 
 class TestAdjustedFences:
