@@ -24,9 +24,10 @@ from .ingest import (AliasMap, ReleaseTag, apply_path_filters, load_alias_map,
                      load_releases, parse_commit_log, resolve_aliases)
 from .patterns import PathMatcher
 from .reports import (EDGES_HEADER, NETWORK_HEADER, REPORTS, WORKLOAD_HEADER,
-                      build_manifest, edge_rows, fmt_float, network_row, release_graphs,
-                      release_report, release_workload, scope_name, sha256_file,
-                      write_csv, write_json_mirror, write_manifest, write_pajek)
+                      build_manifest, edge_rows, end_json_mirror, fmt_float, network_row,
+                      release_graphs, release_text, release_workload, scope_name,
+                      sha256_file, write_csv, write_csv_text, write_json_mirror,
+                      write_manifest, write_pajek)
 from .series import SeriesState
 from .snapshot import ReleaseSnapshot, iter_snapshots
 from .subsystems import SubsystemRules, default_rules, load_rules
@@ -154,7 +155,9 @@ def cmd_analyze(config: RunConfig) -> int:
     The stage sits inside the report directory, so each rename stays on one
     filesystem; a failed run removes the stage and leaves the directory as it was.
     One series state carries each release's results over to the next, so a
-    release scores, classifies and counts only the files that changed.
+    release scores, classifies, counts and formats only the files that
+    changed.  Each release is streamed to the CSVs, and under --json to
+    their mirrors, one file's rows at a time.
     """
     config.validate()
     out_dir = config.output_dir
@@ -163,30 +166,31 @@ def cmd_analyze(config: RunConfig) -> int:
     stage = Path(tempfile.mkdtemp(prefix=f".authormine-{os.getpid()}-", dir=out_dir))
     try:
         with contextlib.ExitStack() as stack:
-            writers = []
-            for name, header in REPORTS:
-                fh = stack.enter_context(
-                    open(stage / f"{name}.csv", "w", encoding="utf-8", newline=""))
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writers.append(writer)
-            state = SeriesState()
+            def create(name: str):
+                return stack.enter_context(
+                    open(stage / name, "w", encoding="utf-8", newline=""))
+
+            tables = [create(f"{name}.csv") for name, _ in REPORTS]
+            for fh, (_, header) in zip(tables, REPORTS):
+                csv.writer(fh, lineterminator="\n").writerow(header)
+            # each mirror's file and the opener of its next row
+            mirrors = [[create(f"{name}.json"), "["] for name, _ in REPORTS] \
+                if config.json_mirror else []
+            state = SeriesState(json_bodies=config.json_mirror)
             with _snapshot_stream(config) as snapshots:
                 for snap in snapshots:
-                    report = release_report(snap, config.rules, config.thresholds,
-                                            DoaWeights(), state)
-                    for writer, rows in zip(writers, report):
-                        writer.writerows(rows)
+                    release = snap.release.name
+                    report = release_text(snap, config.rules, config.thresholds,
+                                          DoaWeights(), state)
+                    for fh, groups in zip(tables, report):
+                        write_csv_text(fh, release, groups)
+                    for mirror, (_, header), groups in zip(mirrors, REPORTS, report):
+                        mirror[1] = write_json_mirror(mirror[0], header, release, groups,
+                                                      mirror[1])
                     logger.info("release %s done: %d of %d live files rescored",
-                                snap.release.name, state.rescored, len(snap.live))
-
-        if config.json_mirror:  # each mirror is read back from the finished CSV
-            for name, _ in REPORTS:
-                with open(stage / f"{name}.csv", encoding="utf-8", newline="") as src, \
-                        open(stage / f"{name}.json", "w", encoding="utf-8",
-                             newline="\n") as dst:
-                    rows = csv.reader(src)
-                    write_json_mirror(dst, next(rows), rows)
+                                release, state.rescored, len(snap.live))
+            for fh, opener in mirrors:
+                end_json_mirror(fh, opener)
 
         names = sorted(path.name for path in stage.iterdir())
         outputs = [{"name": name, "sha256": sha256_file(stage / name)} for name in names]

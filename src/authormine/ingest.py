@@ -10,9 +10,9 @@ Unknown keys are ignored.  Merge and empty commits are records with an
 empty change list (the exporter writes them so): they count for nothing,
 but a release may end at one.  Only commit authors are represented,
 committers are not part of the schema at all.  `DeveloperId` exists only
-here, at ingest: `resolve_aliases` lowercases emails and merges different
-ones through the alias map, and from the accumulator on a developer is
-their canonical email, a plain `str`.
+here, at ingest: `resolve_aliases` trims and lowercases emails and merges
+different ones through the alias map, and from the accumulator on a
+developer is their canonical email, a plain `str`.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ def resolve_aliases(records: Iterable[CommitRecord], alias_map: AliasMap,
     """Replace raw author identities with canonical ones.
 
     Lookup keys are (trimmed name, trimmed lowercased email).  Identities
-    absent from the map pass through with the email lowercased, which is
-    the only automatic normalization applied.
+    absent from the map pass through with the email of their key, trimmed
+    and lowercased, which is the only automatic normalization applied.
     """
     seen_names: dict[str, str] = {}
     collisions: set[str] = set()
@@ -191,8 +191,8 @@ def resolve_aliases(records: Iterable[CommitRecord], alias_map: AliasMap,
         key = (raw.name.strip(), raw.email.strip().lower())
         canonical = alias_map.get(key)
         if canonical is None:
-            lowered = raw.email.lower()
-            canonical = raw if raw.email == lowered else DeveloperId(raw.name, lowered)
+            email = key[1]
+            canonical = raw if raw.email == email else DeveloperId(raw.name, email)
         known = seen_names.setdefault(canonical.email, canonical.name)
         if known != canonical.name and canonical.email not in collisions:
             collisions.add(canonical.email)

@@ -38,8 +38,8 @@ NETWORK_HEADER = ["release", "scope", "vertices", "edges", "mean_degree",
                   "solitary_count", "solitary_pct"]
 EDGES_HEADER = ["author_a", "author_b", "shared_files"]
 
-# the reports `analyze` writes, in output order; `release_report` returns
-# one row list per entry
+# the reports `analyze` writes, in output order; `release_report` and
+# `release_text` return one entry per report
 REPORTS = (("authorship", AUTHORSHIP_HEADER), ("workload", WORKLOAD_HEADER),
            ("profiles", PROFILES_HEADER), ("network", NETWORK_HEADER))
 
@@ -56,22 +56,60 @@ def scope_name(scope: "str | None") -> str:
     return SCOPE_ALL if scope is None else scope
 
 
-def authorship_rows(release_name: str, authorship: "dict[int, FileAuthorship]",
-                    tails: "dict[int, list[tuple[str, ...]]]") -> list[tuple[str, ...]]:
-    """The authorship rows of one release.  `tails` holds each file's rows
-    without the release column, by file id; a file found there is not
-    formatted again, and one that is not is formatted and added."""
-    rows: list[tuple[str, ...]] = []
-    prefix = (release_name,)
+class _Lines(list):
+    """A csv writer's file: keeps each line the writer hands it."""
+    write = list.append
+
+
+# a file's rows without their release column, as text: the CSV lines, and
+# each row's JSON object body (see `_json_template`), which is left empty
+# unless a JSON mirror is written
+RowText = tuple[tuple[str, ...], tuple[str, ...]]
+
+
+class RowRenderer:
+    """Renders a report's rows, given without their release column, as RowText."""
+
+    def __init__(self, header: Sequence[str], with_json: bool) -> None:
+        self._lines = _Lines()
+        self._writer = csv.writer(self._lines, lineterminator="\n")
+        self._template = _json_template(header[1:]) if with_json else None
+
+    def __call__(self, rows: Sequence[Sequence[str]]) -> RowText:
+        self._writer.writerows(rows)
+        lines = tuple(self._lines)
+        self._lines.clear()
+        template = self._template
+        if template is None:
+            return lines, ()
+        return lines, tuple(template.format(*map(encode_basestring, row)) for row in rows)
+
+
+def _json_template(keys: Sequence[str]) -> str:
+    """The body of a JSON row object whose first member precedes it, laid out as
+    `json.dump(..., indent=2)` does: one member per key, each value a `{}`
+    field to fill with an encoded string, then the closing brace.  A NUL
+    marks each field until the braces are escaped: an encoded key holds none."""
+    members = "".join(f",\n    {encode_basestring(key)}: \0" for key in keys)
+    return (members + "\n  }").replace("{", "{{").replace("}", "}}").replace("\0", "{}")
+
+
+def authorship_rows(authorship: "dict[int, FileAuthorship]", tails: "dict[int, RowText]",
+                    with_json: bool) -> list[RowText]:
+    """Each live file's authorship rows without the release column, in path
+    order.  `tails` holds them by file id; a file found there is not rendered
+    again, and one that is not is rendered and added."""
+    render = RowRenderer(AUTHORSHIP_HEADER, with_json)
+    files = []
     for fa in authorship.values():
-        rendered = tails.get(fa.fid)
-        if rendered is None:
-            rendered = tails[fa.fid] = [
+        text = tails.get(fa.fid)
+        if text is None:
+            text = tails[fa.fid] = render([
                 (fa.path, s.developer, str(s.fa), str(s.dl), str(s.ac),
                  fmt_float(s.doa_abs), fmt_float(s.doa_norm), "1" if s.is_author else "0")
-                for s in fa.scores]
-        rows.extend(map(prefix.__add__, rendered))
-    return rows
+                for s in fa.scores])
+        files.append(text)
+    return files
 
 
 def workload_row(release_name: str, scope: "str | None",
@@ -148,8 +186,11 @@ def _graph(state: SeriesState, scope: "str | None") -> CoauthorGraph:
 
 def release_report(snapshot: ReleaseSnapshot, rules: SubsystemRules,
                    thresholds: DoaThresholds, weights: DoaWeights,
-                   state: "SeriesState | None" = None) -> tuple[list[Sequence[str]], ...]:
-    """All report rows for one release, one list per REPORTS entry, scopes All-first.
+                   state: "SeriesState | None" = None,
+                   ) -> "tuple[list[RowText], list[list[str]], list[list[str]], list[list[str]]]":
+    """The reports of one release, one entry per REPORTS entry, scopes All-first:
+    the authorship rows as each live file's RowText (`authorship_rows`), and
+    the workload, profiles and network rows.
 
     `state` carries a release series over from its previous release; the
     release is computed from an empty state without one.
@@ -165,8 +206,19 @@ def release_report(snapshot: ReleaseSnapshot, rules: SubsystemRules,
         workload_rows.append(workload_row(name, scope, counts, len(fids)))
         profile_rows.append(profiles_row(name, scope, counts, state.subsystem_counts))
         network_rows.append(network_row(name, scope, _graph(state, scope)))
-    return (authorship_rows(name, authorship, state.tails), workload_rows, profile_rows,
-            network_rows)
+    return (authorship_rows(authorship, state.tails, state.json_bodies), workload_rows,
+            profile_rows, network_rows)
+
+
+def release_text(snapshot: ReleaseSnapshot, rules: SubsystemRules,
+                 thresholds: DoaThresholds, weights: DoaWeights,
+                 state: "SeriesState | None" = None) -> list[list[RowText]]:
+    """The reports of one release as text, one RowText list per REPORTS entry:
+    one entry per live file for the authorship rows, one for each other report."""
+    state = SeriesState() if state is None else state
+    files, *tables = release_report(snapshot, rules, thresholds, weights, state)
+    return [files] + [[RowRenderer(header, state.json_bodies)([row[1:] for row in rows])]
+                      for (_, header), rows in zip(REPORTS[1:], tables)]
 
 
 def release_workload(snapshot: ReleaseSnapshot, rules: SubsystemRules,
@@ -200,20 +252,38 @@ def write_csv(fh: IO[str], header: Sequence[str], rows: Sequence[Sequence[str]])
     writer.writerows(rows)
 
 
-def write_json_mirror(fh: IO[str], header: Sequence[str],
-                      rows: Iterable[Sequence[str]]) -> None:
-    """Write string rows as a JSON array of header-keyed objects, one row at a time.
+def write_csv_text(fh: IO[str], release_name: str, groups: Iterable[RowText]) -> None:
+    """Write one release's rows to a report CSV, a group at a time, with the
+    release column put in front of each line."""
+    line = _Lines()
+    csv.writer(line, lineterminator="\n").writerow((release_name, ""))
+    prefix = line[0][:-1]  # the release field and its delimiter
+    for lines, _ in groups:
+        fh.write(prefix + prefix.join(lines))
 
-    The bytes equal `json.dump([dict(zip(header, row)) for row in rows], fh,
-    indent=2, ensure_ascii=False)` plus a newline, without the list.
+
+def write_json_mirror(fh: IO[str], header: Sequence[str], release_name: str,
+                      groups: Iterable[RowText], opener: str = "[") -> str:
+    """Write one release's rows to a JSON mirror, a group at a time, and return
+    the opener of the next row.
+
+    A mirror is an array of header-keyed objects.  Its first row opens with
+    "[", each later one with ","; `end_json_mirror` closes it.  The bytes
+    equal `json.dump([dict(zip(header, row)) for row in rows], fh, indent=2,
+    ensure_ascii=False)` plus a newline, with no list of the rows.
     """
-    keys = [f"\n    {encode_basestring(key)}: " for key in header]
-    opener = "[\n  {"
-    for row in rows:
-        fh.write(opener + ",".join(k + encode_basestring(v) for k, v in zip(keys, row))
-                 + "\n  }")
-        opener = ",\n  {"
-    fh.write("[]\n" if opener == "[\n  {" else "\n]\n")
+    head = f"\n  {{\n    {encode_basestring(header[0])}: {encode_basestring(release_name)}"
+    between = "," + head
+    for _, bodies in groups:
+        if bodies:
+            fh.write(opener + head + between.join(bodies))
+            opener = ","
+    return opener
+
+
+def end_json_mirror(fh: IO[str], opener: str) -> None:
+    """Close a JSON mirror whose next row would open with `opener`."""
+    fh.write("[]\n" if opener == "[" else "\n]\n")
 
 
 def write_pajek(fh: IO[str], graph: CoauthorGraph) -> None:

@@ -11,8 +11,12 @@ maintenance over the release series):
   and path are the same;
 - `labels`, a memo of the subsystem label of every live path, so a path
   is classified once;
-- `tails`, each live file's rendered `authorship.csv` rows without the
-  release column, filled in by `reports.authorship_rows`;
+- `tails`, each live file's authorship rows rendered as text without the
+  release column, filled in by `reports.authorship_rows`: the CSV lines
+  and, for a state made with `json_bodies`, each row's JSON object body.
+  A release's reports put the release in front of each file's text and
+  stream it out, so a file unchanged since the previous release is not
+  formatted again;
 - three sets of exact integer counts, which `update` keeps current by
   subtracting each changed or dead file's old author set and adding its
   new one: per scope, the authored files of each author and the shared
@@ -39,11 +43,12 @@ class SeriesState:
     """The results and counts of the release a series last reached; empty
     when new, which makes the next release one computed from scratch."""
 
-    def __init__(self) -> None:
+    def __init__(self, json_bodies: bool = False) -> None:
         self.settings: "tuple | None" = None
+        self.json_bodies = json_bodies
         self.authorship: dict[int, FileAuthorship] = {}
         self.labels: dict[str, str] = {}
-        self.tails: dict[int, list[tuple[str, ...]]] = {}
+        self.tails: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self.author_counts: dict[str | None, dict[str, int]] = {}
         self.subsystem_counts: dict[str, dict[str, int]] = {}
         self.edge_weights: dict[str | None, dict[Edge, int]] = {}

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: analyze goldens, queries, exports, exit codes."""
 
 import csv
+import io
 import json
 import logging
 import os
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from authormine import iter_snapshots
+from authormine import (compute_authorship, iter_snapshots, load_releases,
+                        parse_commit_log, resolve_aliases)
 from authormine.cli import main
+from authormine.reports import AUTHORSHIP_HEADER, fmt_float
 from conftest import (FIXTURE_ALIASES, FIXTURE_LOG, FIXTURE_RELEASES, GOLDEN_DIR)
 
 CSV_NAMES = ["authorship.csv", "workload.csv", "profiles.csv", "network.csv"]
@@ -84,6 +87,52 @@ class TestAnalyze:
             mirror = tmp_path / name.replace(".csv", ".json")
             assert mirror.read_bytes() == expected.encode("utf-8"), name
         assert not list(tmp_path.glob(".authormine-*"))  # the stage is gone
+
+    def test_paths_that_need_quoting_across_a_series(self, tmp_path):
+        # the text of every file is rendered once and then reused while the
+        # file is unchanged: one such path stays unchanged over three
+        # releases, one is modified, and one is the target of a rename
+        kept = 'docs/ünï,"q".c'
+        modified = "drivers/back\\slash\tTab.c"
+        renamed = "fs/new\nline€.c"
+        commits = [
+            ("jürgen@例え.jp", [["A", kept], ["A", modified], ["A", "fs/plain.c"]]),
+            ("b@x.org", [["M", modified], ["R", renamed, "fs/plain.c"]]),
+            ("c@x.org", [["M", modified], ["A", "a.c"]]),
+            ("b@x.org", [["M", renamed]]),
+        ]
+        log = tmp_path / "log.ndjson"
+        log.write_text("".join(
+            json.dumps({"id": f"c{i}", "an": "N", "ae": email, "ts": i, "ch": changes}) + "\n"
+            for i, (email, changes) in enumerate(commits)), encoding="utf-8")
+        releases = tmp_path / "releases.txt"
+        releases.write_text('v1 c0\nv2,"rc" c1\nv3 c2\nv4 c3\n', encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["analyze", "--log", str(log), "--releases", str(releases),
+                     "-o", str(out), "--json"]) == 0
+
+        with open(log, "rb") as fh:
+            records = list(resolve_aliases(parse_commit_log(fh), {}))
+        rows = [AUTHORSHIP_HEADER]
+        for snap in iter_snapshots(records, load_releases(releases)):
+            for fa in compute_authorship(snap).values():
+                rows.extend([snap.release.name, fa.path, s.developer, str(s.fa), str(s.dl),
+                             str(s.ac), fmt_float(s.doa_abs), fmt_float(s.doa_norm),
+                             str(int(s.is_author))] for s in fa.scores)
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert (out / "authorship.csv").read_bytes() == expected.getvalue().encode("utf-8")
+        releases_of = {path: sorted({row[0] for row in rows[1:] if row[1] == path})
+                       for path in (kept, modified, renamed)}
+        assert releases_of == {kept: ["v1", 'v2,"rc"', "v3", "v4"],
+                               modified: ["v1", 'v2,"rc"', "v3", "v4"],
+                               renamed: ['v2,"rc"', "v3", "v4"]}
+        for name in CSV_NAMES:  # each mirror is json.dump of its CSV's rows
+            with open(out / name, encoding="utf-8", newline="") as fh:
+                header, *table = csv.reader(fh)
+            assert (out / name.replace(".csv", ".json")).read_text(encoding="utf-8") == \
+                json.dumps([dict(zip(header, row)) for row in table],
+                           indent=2, ensure_ascii=False) + "\n", name
 
     def test_failed_run_keeps_previous_report(self, tmp_path):
         out = tmp_path / "out"

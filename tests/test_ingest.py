@@ -130,6 +130,18 @@ class TestResolveAliases:
         (out,) = resolve_aliases([rec], {})
         assert out.author == DeveloperId("Ada", "ada@x.org")
 
+    def test_passthrough_trims_email(self):
+        # the email an unmapped identity passes through with is its lookup
+        # key's, so padding does not split one developer in two
+        recs = [
+            make_record("c1", DeveloperId("Ann", "ann@x.org"), 1, [("A", "a.c")]),
+            make_record("c2", DeveloperId("Ann", " Ann@X.org\t"), 2, [("M", "a.c")]),
+        ]
+        resolved = list(resolve_aliases(recs, {}))
+        assert [r.author for r in resolved] == [DeveloperId("Ann", "ann@x.org")] * 2
+        snap = snapshot_at(resolved, ReleaseTag("r", "c2"))
+        assert snap.files[snap.live["a.c"]] == FileCounters("ann@x.org", 2, {"ann@x.org": 2})
+
     def test_aliased_identities_unify(self):
         canonical = DeveloperId("Carol Fs", "carol@example.org")
         amap = {("Carol F.", "cf@oldmail.example"): canonical}

@@ -1,11 +1,15 @@
 """An incremental release series equals each release computed from an empty state."""
 
+import io
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from authormine import (DoaThresholds, DoaWeights, ReleaseTag, SeriesState, default_rules,
                         doa, iter_snapshots)
-from authormine.reports import release_report
+from authormine.reports import (REPORTS, end_json_mirror, release_report, release_text,
+                                write_csv_text, write_json_mirror)
 import oracles
 from helpers import counted, dev, make_record, snapshot_at
 
@@ -55,6 +59,20 @@ def gen_series(rng):
     return records, releases
 
 
+def written(snap, state=None):
+    """What one release adds to each report CSV and to its JSON mirror; from
+    an empty state without `state`."""
+    state = SeriesState(json_bodies=True) if state is None else state
+    report = release_text(snap, RULES, THRESHOLDS, WEIGHTS, state)
+    out = []
+    for (_, header), groups in zip(REPORTS, report):
+        text, mirror = io.StringIO(), io.StringIO()
+        write_csv_text(text, snap.release.name, groups)
+        write_json_mirror(mirror, header, snap.release.name, groups)
+        out.append((text.getvalue(), mirror.getvalue()))
+    return out
+
+
 def nonzero(counts):
     """A count table without the scopes or authors that hold nothing."""
     return {key: value for key, value in counts.items() if value}
@@ -64,15 +82,14 @@ def nonzero(counts):
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
     records, releases = gen_series(rng)
-    state = SeriesState()
+    state = SeriesState(json_bodies=True)
     snapshots = list(iter_snapshots(records, releases, follow_renames))
     for k, snap in enumerate(snapshots):
         scratch = snapshot_at(records, snap.release, follow_renames)
         # every third release the state is handed a snapshot of another
         # accumulator, which shares no counters object with the series
         fed = scratch if k % 3 == 2 else snap
-        rows = release_report(fed, RULES, THRESHOLDS, WEIGHTS, state)
-        assert rows == release_report(scratch, RULES, THRESHOLDS, WEIGHTS)
+        assert written(fed, state) == written(scratch)
 
         fresh, _ = counted(scratch)
         assert nonzero(state.author_counts) == nonzero(fresh.author_counts)
@@ -118,7 +135,43 @@ def test_state_serves_one_setting():
 
 
 def test_fixture_series_matches_per_release(fixture_records, fixture_releases):
-    state = SeriesState()
+    state = SeriesState(json_bodies=True)
     for snap in iter_snapshots(fixture_records, fixture_releases):
-        assert release_report(snap, RULES, THRESHOLDS, WEIGHTS, state) == \
-            release_report(snap, RULES, THRESHOLDS, WEIGHTS)
+        assert written(snap, state) == written(snap)
+
+
+class Counted:
+    """A report file that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def test_memory_of_a_reused_release_bounded_by_one_file():
+    # 4000 files with two developers each, and a second release on the same
+    # commit, so every file's text is reused; it is written one file at a
+    # time and never joined into the release's text.  What stays is a
+    # constant: the csv writer's 128 KiB record buffer
+    paths = [f"drivers/d{i % 40}/f{i}.c" for i in range(4000)]
+    records = [make_record("c1", dev(1), 1, [("A", p) for p in paths]),
+               make_record("c2", dev(2), 2, [("M", p) for p in paths])]
+    releases = [ReleaseTag("r1", "c2"), ReleaseTag("r2", "c2")]
+    state = SeriesState(json_bodies=True)
+    first, second = iter_snapshots(records, releases)
+    release_text(first, RULES, THRESHOLDS, WEIGHTS, state)
+    report = release_text(second, RULES, THRESHOLDS, WEIGHTS, state)
+    assert state.rescored == 0 and len(report[0]) == len(paths)
+    sink = Counted()
+    tracemalloc.start()
+    try:
+        for (_, header), groups in zip(REPORTS, report):
+            write_csv_text(sink, "r2", groups)
+            end_json_mirror(sink, write_json_mirror(sink, header, "r2", groups))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 2 * 2**20
+    assert peak < sink.size / 10, (peak, sink.size)
