@@ -61,9 +61,10 @@ class _Lines(list):
     write = list.append
 
 
-# a file's rows without their release column, as text: the CSV lines, and
+# one or more rows without their release column, as text: the CSV lines, and
 # each row's JSON object body (see `_json_template`), which is left empty
-# unless a JSON mirror is written
+# unless a JSON mirror is written.  A group holds a live file's rows, or a
+# table's, which always has a row for scope All
 RowText = tuple[tuple[str, ...], tuple[str, ...]]
 
 
@@ -275,9 +276,8 @@ def write_json_mirror(fh: IO[str], header: Sequence[str], release_name: str,
     head = f"\n  {{\n    {encode_basestring(header[0])}: {encode_basestring(release_name)}"
     between = "," + head
     for _, bodies in groups:
-        if bodies:
-            fh.write(opener + head + between.join(bodies))
-            opener = ","
+        fh.write(opener + head + between.join(bodies))
+        opener = ","
     return opener
 
 

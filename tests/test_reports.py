@@ -65,15 +65,6 @@ def test_release_name_is_quoted_and_escaped():
     assert mirror.getvalue() == reference(HEADER, rows)
 
 
-def test_groups_without_rows_write_nothing():
-    render = RowRenderer(HEADER, with_json=True)
-    groups = [render([]), render([["a.c", "x@y.org"], ["a.c", "z@y.org"]]), render([])]
-    fh = io.StringIO()
-    end_json_mirror(fh, write_json_mirror(fh, HEADER, "v1", groups))
-    assert fh.getvalue() == reference(HEADER, [["v1", "a.c", "x@y.org"],
-                                               ["v1", "a.c", "z@y.org"]])
-
-
 def test_json_bodies_only_on_request():
     assert RowRenderer(HEADER, with_json=False)([["a,c", "x@y.org"]]) == \
         (('"a,c",x@y.org\n',), ())
