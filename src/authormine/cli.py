@@ -235,8 +235,8 @@ def cmd_authors(config: RunConfig, file_path: str, release_name: str) -> int:
     scores, _ = score_file(snap.files[fid], config.thresholds)
     authors = sorted((s for s in scores if s.is_author),
                      key=lambda s: (-s.doa_norm, s.developer))
-    for s in authors:
-        print(f"{s.developer},{fmt_float(s.doa_abs)},{fmt_float(s.doa_norm)}")
+    csv.writer(sys.stdout, lineterminator="\n").writerows(
+        (s.developer, fmt_float(s.doa_abs), fmt_float(s.doa_norm)) for s in authors)
     return EXIT_OK
 
 

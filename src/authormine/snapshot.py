@@ -8,7 +8,9 @@ authorship.  Files are tracked as logical ids so that, with rename
 following enabled, counters survive file moves; with it disabled a
 rename is a delete plus a fresh creation.
 
-Accumulation is strictly sequential.  Snapshots taken at release
+Accumulation is strictly sequential and keeps one state per live path:
+a move carries it along and a delete drops it, so the state follows the
+live files, not the history.  Snapshots taken at release
 boundaries are frozen, safe to share across threads and feed to any
 number of concurrent downstream analytics.  A snapshot shares the frozen
 counters of every file untouched since the previous release with that
@@ -46,9 +48,8 @@ class FileCounters:
 class ReleaseSnapshot:
     """Immutable view of the history up to (and including) one release boundary.
 
-    `live` maps current repo paths to logical file ids; `files` retains
-    counters for every logical file ever created, including deleted
-    ones.  Authorship queries are restricted to live files.
+    `live` maps current repo paths to logical file ids; `files` maps the
+    id of each live file, and of no other, to its counters.
     """
 
     release: ReleaseTag
@@ -57,64 +58,61 @@ class ReleaseSnapshot:
 
 
 class _FileState:
-    __slots__ = ("creator", "total", "deliveries")
+    __slots__ = ("fid", "creator", "total", "deliveries", "counters")
 
-    def __init__(self, creator: str):
+    def __init__(self, fid: int, creator: str):
+        self.fid = fid
         self.creator = creator
         self.total = 0
         self.deliveries: dict[str, int] = {}
+        self.counters: FileCounters | None = None  # as last frozen; None once delivered
 
 
 class _Accumulator:
     def __init__(self, follow_renames: bool):
         self.follow_renames = follow_renames
-        self.files: dict[int, _FileState] = {}
-        self.live: dict[str, int] = {}
+        self.live: dict[str, _FileState] = {}  # the one per-file table
         self._next_fid = 0
-        # file ids delivered since the last freeze (every create, delete and
-        # move delivers), and the counters that freeze handed out last
-        self.dirty: set[int] = set()
-        self.frozen: dict[int, FileCounters] = {}
 
-    def _deliver(self, fid: int, dev: str, delivered: set[int]) -> None:
-        # at most one delivery per (commit, logical file)
-        if fid in delivered:
+    def _deliver(self, state: _FileState, dev: str, delivered: set[_FileState]) -> None:
+        # at most one delivery per (commit, logical file); states hash by identity
+        if state in delivered:
             return
-        delivered.add(fid)
-        state = self.files[fid]
+        delivered.add(state)
         state.total += 1
         state.deliveries[dev] = state.deliveries.get(dev, 0) + 1
+        state.counters = None
 
-    def _create(self, path: str, dev: str, delivered: set[int]) -> int:
-        fid = self._next_fid
+    def _create(self, path: str, dev: str, delivered: set[_FileState]) -> None:
+        state = _FileState(self._next_fid, creator=dev)
         self._next_fid += 1
-        self.files[fid] = _FileState(creator=dev)
-        self.live[path] = fid
-        self._deliver(fid, dev, delivered)
-        return fid
+        self.live[path] = state
+        self._deliver(state, dev, delivered)
 
-    def _add(self, commit_id: str, path: str, dev: str, delivered: set[int]) -> None:
-        fid = self.live.get(path)
-        if fid is not None:
+    def _add(self, commit_id: str, path: str, dev: str, delivered: set[_FileState]) -> None:
+        state = self.live.get(path)
+        if state is not None:
             logger.warning("commit %s adds already-live path %s; treating as a change",
                            commit_id, path)
-            self._deliver(fid, dev, delivered)
+            self._deliver(state, dev, delivered)
         else:
             self._create(path, dev, delivered)
 
-    def _modify(self, commit_id: str, path: str, dev: str, delivered: set[int]) -> None:
-        fid = self.live.get(path)
-        if fid is not None:
-            self._deliver(fid, dev, delivered)
+    def _modify(self, commit_id: str, path: str, dev: str,
+                delivered: set[_FileState]) -> None:
+        state = self.live.get(path)
+        if state is not None:
+            self._deliver(state, dev, delivered)
         else:
             logger.warning("commit %s changes unknown path %s; treating as an "
                            "implicit creation (truncated history?)", commit_id, path)
             self._create(path, dev, delivered)
 
-    def _delete(self, commit_id: str, path: str, dev: str, delivered: set[int]) -> None:
-        fid = self.live.pop(path, None)
-        if fid is not None:
-            self._deliver(fid, dev, delivered)
+    def _delete(self, commit_id: str, path: str, dev: str,
+                delivered: set[_FileState]) -> None:
+        state = self.live.pop(path, None)
+        if state is not None:
+            self._deliver(state, dev, delivered)
         else:
             logger.warning("commit %s deletes unknown path %s; treating as an "
                            "implicit creation (truncated history?)", commit_id, path)
@@ -122,28 +120,28 @@ class _Accumulator:
             del self.live[path]
 
     def _rename(self, commit_id: str, new_path: str, old_path: str,
-                dev: str, delivered: set[int]) -> None:
+                dev: str, delivered: set[_FileState]) -> None:
         if not self.follow_renames:
             self._delete(commit_id, old_path, dev, delivered)
             self._add(commit_id, new_path, dev, delivered)
             return
-        fid = self.live.pop(old_path, None)
-        if fid is None:
+        state = self.live.pop(old_path, None)
+        if state is None:
             logger.warning("commit %s renames unknown path %s; treating as an "
                            "implicit creation at %s", commit_id, old_path, new_path)
             self._add(commit_id, new_path, dev, delivered)
             return
-        if new_path in self.live and self.live[new_path] != fid:
+        if self.live.get(new_path, state) is not state:
             logger.warning("commit %s renames %s onto live path %s; the previous "
                            "file becomes dead", commit_id, old_path, new_path)
-        self.live[new_path] = fid
-        self._deliver(fid, dev, delivered)
+        self.live[new_path] = state
+        self._deliver(state, dev, delivered)
 
     def feed(self, record: CommitRecord) -> None:
         if not record.changes:  # empty, merge or fully excluded; only the id matters
             return
         dev = record.author.email
-        delivered: set[int] = set()
+        delivered: set[_FileState] = set()
         for change in record.changes:
             if change.kind is ChangeKind.ADD:
                 self._add(record.commit_id, change.path, dev, delivered)
@@ -154,17 +152,17 @@ class _Accumulator:
             else:
                 self._rename(record.commit_id, change.path, change.old_path, dev,
                              delivered)
-        self.dirty |= delivered
 
     def freeze(self, release: ReleaseTag) -> ReleaseSnapshot:
-        """Freeze the dirty files anew; every other file keeps its last counters object."""
-        files = dict(self.frozen)
-        for fid in sorted(self.dirty):  # new ids join in id order
-            state = self.files[fid]
-            files[fid] = FileCounters(state.creator, state.total, dict(state.deliveries))
-        self.dirty.clear()
-        self.frozen = files
-        return ReleaseSnapshot(release, dict(self.live), files)
+        """Freeze the files delivered since the last release; the rest keep theirs."""
+        live, files = {}, {}
+        for path, state in self.live.items():
+            if state.counters is None:
+                state.counters = FileCounters(state.creator, state.total,
+                                              dict(state.deliveries))
+            live[path] = state.fid
+            files[state.fid] = state.counters
+        return ReleaseSnapshot(release, live, files)
 
 
 def iter_snapshots(records: Iterable[CommitRecord],
@@ -176,7 +174,9 @@ def iter_snapshots(records: Iterable[CommitRecord],
     stream order.  Raises ConfigError when a release's boundary comes
     before an earlier-listed release's, AuthormineError when a commit id
     repeats (overlapping logs), and BoundaryNotFoundError if a boundary
-    commit never shows up.
+    commit never shows up.  The set of commit ids seen, which catches
+    overlapping logs, is the one structure that grows with the commits
+    rather than the live files (about 13 MB per 100k ids).
     """
     if not releases:
         return

@@ -296,6 +296,27 @@ class TestAuthors:
         assert code == 1
         assert "not live at vdel" in capsys.readouterr().err
 
+    def test_email_that_needs_quoting(self, tmp_path, capsys):
+        # an RFC 5322 quoted local part may hold a comma and quotes
+        odd = '"a,b"@x.org'
+        log = tmp_path / "log.ndjson"
+        log.write_text("".join(json.dumps(
+            {"id": cid, "an": "A", "ae": email, "ts": ts, "ch": [[kind, "kernel/a.c"]]}) + "\n"
+            for cid, email, ts, kind in [("c1", odd, 1, "A"), ("c2", "bob@x.org", 2, "M"),
+                                         ("c3", odd, 3, "M")]))
+        releases = tmp_path / "releases.txt"
+        releases.write_text("r1 c3\n")
+        args = ["--log", str(log), "--releases", str(releases)]
+        assert main(["analyze", *args, "-o", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "authorship.csv", newline="") as fh:
+            authors = [row["developer_email"] for row in csv.DictReader(fh)
+                       if row["is_author"] == "1"]
+        capsys.readouterr()
+        assert main(["authors", *args, "kernel/a.c", "--release", "r1"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert sorted(row[0] for row in rows) == sorted(authors)
+        assert rows[0][0] == odd and len(rows[0]) == 3
+
     def test_unknown_release(self, capsys):
         code = main(["authors", *base_args(), "README", "--release", "v9.9"])
         assert code == 1

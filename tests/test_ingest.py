@@ -215,17 +215,14 @@ class TestSnapshotAt:
         assert set(snap.live) == {"f"}
         assert snap.files[snap.live["f"]] == FileCounters(dev(1), 1, {dev(1): 1})
 
-    def test_delete_retains_counters(self):
+    def test_delete_releases_file(self):
         recs = [
             make_record("c1", dev(1), 1, [("A", "f")]),
             make_record("c2", dev(2), 2, [("D", "f")]),
         ]
         snap = snapshot_at(recs, ReleaseTag("r", "c2"))
         assert snap.live == {}
-        assert len(snap.files) == 1
-        (state,) = snap.files.values()
-        assert state.total_commits == 2
-        assert state.deliveries == {dev(1): 1, dev(2): 1}
+        assert snap.files == {}
 
     def test_rename_follow_carries_counters(self):
         recs = [
@@ -255,7 +252,7 @@ class TestSnapshotAt:
         ]
         snap = snapshot_at(recs, ReleaseTag("r", "c3"))
         assert set(snap.files[snap.live["f"]].deliveries) == {dev(3)}
-        assert len(snap.files) == 2  # dead incarnation retained
+        assert len(snap.files) == 1  # the dead incarnation is released
 
     def test_modify_unknown_path_warns_and_creates(self, caplog):
         recs = [make_record("c1", dev(1), 1, [("M", "ghost.c")])]
@@ -319,8 +316,9 @@ class TestInvariantsAndProperties:
     def test_monotone_counters(self, fixture_records, fixture_releases):
         snaps = list(iter_snapshots(fixture_records, fixture_releases))
         for earlier, later in zip(snaps, snaps[1:]):
-            for fid, state in earlier.files.items():
-                after = later.files[fid]
+            # a file that died in between is in `earlier` only
+            for fid in earlier.files.keys() & later.files.keys():
+                state, after = earlier.files[fid], later.files[fid]
                 assert after.total_commits >= state.total_commits
                 for d, n in state.deliveries.items():
                     assert after.deliveries[d] >= n
@@ -348,11 +346,12 @@ class TestInvariantsAndProperties:
         oracle_records = oracles.from_package_records(fixture_records)
         for tag in fixture_releases:
             snap = snapshot_at(fixture_records, tag)
-            live, incs, devs = oracles.replay(oracle_records, tag.boundary, True)
+            live, incs, _ = oracles.replay(oracle_records, tag.boundary, True)
             assert_views_match(engine_view(snap, compute_authorship(snap)),
                                oracles.authorship_view(live, incs))
             delivered = {d for fc in snap.files.values() for d in fc.deliveries}
-            assert delivered == {e for _, e in devs}
+            assert delivered == {email for idx in live.values()
+                                 for _, (_, email) in incs[idx]["touches"]}
 
 
 class TestLoaders:

@@ -98,6 +98,7 @@ def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
         # entries of files that died are gone
         assert set(state.labels) == set(snap.live)
         assert set(state.tails) == set(state.authorship) == set(snap.live.values())
+        assert set(snap.files) == set(snap.live.values()) == set(scratch.files)
 
 
 def test_series_rescores_only_changed_files(monkeypatch):
@@ -175,3 +176,37 @@ def test_memory_of_a_reused_release_bounded_by_one_file():
         tracemalloc.stop()
     assert sink.size > 2 * 2**20
     assert peak < sink.size / 10, (peak, sink.size)
+
+
+def held_after_last_freeze(rounds, batch=250):
+    """Traced bytes still held once the last release of a history is frozen:
+    each of `rounds` commits deletes the previous commit's `batch` files and
+    creates `batch` new ones, a last one leaves one file live, and every
+    commit closes a release.  Only the last snapshot and the open accumulator
+    are kept."""
+    records, previous = [], []
+    for r in range(rounds + 1):
+        fresh = [f"drivers/r{r}/f{i}.c" for i in range(batch)] if r < rounds else ["keep.c"]
+        records.append(make_record(f"c{r}", dev(r % 3), r + 1,
+                                   [("D", p) for p in previous] + [("A", p) for p in fresh]))
+        previous = fresh
+    releases = [ReleaseTag(f"v{r}", rec.commit_id) for r, rec in enumerate(records)]
+    snapshots = iter_snapshots(records, releases)
+    tracemalloc.start()
+    try:
+        for snap in snapshots:
+            if snap.release == releases[-1]:
+                held, _ = tracemalloc.get_traced_memory()
+                break
+            del snap
+    finally:
+        tracemalloc.stop()
+    assert list(snap.live) == ["keep.c"] and set(snap.files) == {snap.live["keep.c"]}
+    return held
+
+
+def test_memory_after_freeze_bounded_by_live_files():
+    # 500 against 5000 dead files, never more than 250 live: the 4500 more
+    # dead files may cost 16 bytes each, where keeping their counters costs
+    # hundreds (2.7 MB more)
+    assert held_after_last_freeze(20) - held_after_last_freeze(2) < 4500 * 16
