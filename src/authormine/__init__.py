@@ -10,7 +10,7 @@ changed since the previous one (`SeriesState`).
 
 __version__ = "0.1.0"
 
-from .doa import (DevScore, DoaThresholds, DoaWeights, FileAuthorship, author_proportion,
+from .doa import (DevScore, DoaThresholds, FileAuthorship, author_proportion,
                   compute_authorship, doa_absolute, score_file)
 from .errors import (AuthormineError, BoundaryNotFoundError, ConfigError,
                      LogParseError, LogSchemaError)

@@ -18,14 +18,14 @@ from pathlib import Path
 from typing import Iterator
 
 from . import __version__
-from .doa import DoaThresholds, DoaWeights, score_file
+from .doa import DoaThresholds, score_file
 from .errors import AuthormineError, ConfigError
 from .ingest import (AliasMap, ReleaseTag, apply_path_filters, load_alias_map,
                      load_releases, parse_commit_log, resolve_aliases)
 from .patterns import PathMatcher
 from .reports import (EDGES_HEADER, NETWORK_HEADER, REPORTS, WORKLOAD_HEADER,
                       build_manifest, edge_rows, end_json_mirror, fmt_float, network_row,
-                      release_graphs, release_text, release_workload, scope_name,
+                      release_graphs, release_report, release_workload, scope_name,
                       sha256_file, write_csv, write_csv_text, write_json_mirror,
                       write_manifest, write_pajek)
 from .series import SeriesState
@@ -176,12 +176,11 @@ def cmd_analyze(config: RunConfig) -> int:
             # each mirror's file and the opener of its next row
             mirrors = [[create(f"{name}.json"), "["] for name, _ in REPORTS] \
                 if config.json_mirror else []
-            state = SeriesState(json_bodies=config.json_mirror)
+            state = SeriesState(config.rules, config.thresholds, config.json_mirror)
             with _snapshot_stream(config) as snapshots:
                 for snap in snapshots:
                     release = snap.release.name
-                    report = release_text(snap, config.rules, config.thresholds,
-                                          DoaWeights(), state)
+                    report = release_report(snap, state)
                     for fh, groups in zip(tables, report):
                         write_csv_text(fh, release, groups)
                     for mirror, (_, header), groups in zip(mirrors, REPORTS, report):
@@ -244,11 +243,10 @@ def cmd_stats(config: RunConfig, release_name: "str | None") -> int:
     config.validate()
     releases = _releases(config, release_name)
     rows = []
-    state = SeriesState()
+    state = SeriesState(config.rules, config.thresholds)
     with _snapshot_stream(config, releases) as snapshots:
         for snap in snapshots:
-            rows.extend(release_workload(snap, config.rules, config.thresholds, DoaWeights(),
-                                         state))
+            rows.extend(release_workload(snap, state))
     write_csv(sys.stdout, WORKLOAD_HEADER, rows)
     return EXIT_OK
 
@@ -264,12 +262,13 @@ def cmd_network(config: RunConfig, release_name: "str | None",
             and scope not in config.rules.labels:
         raise ConfigError(f"unknown scope {scope!r}; expected one of "
                           f"{(scope_name(None),) + config.rules.labels}")
+    if scope is not None and not (edges_path or graph_path):
+        raise ConfigError("--scope requires an --edges or --graph export")
     rows = []
-    state = SeriesState()
+    state = SeriesState(config.rules, config.thresholds)
     with _snapshot_stream(config, releases) as snapshots:
         for snap in snapshots:
-            graphs = release_graphs(snap, config.rules, config.thresholds, DoaWeights(),
-                                    state)
+            graphs = release_graphs(snap, state)
             rows.extend(network_row(snap.release.name, key, graph)
                         for key, graph in graphs.items())
     if edges_path or graph_path:  # --release is set, so `graphs` is that release's

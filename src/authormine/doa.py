@@ -17,8 +17,8 @@ file's frozen counters (creator, commit total, deliveries), and
 `compute_authorship` applies it to every live file of a snapshot that an
 earlier result does not already cover.  A developer is their canonical
 email, as the accumulator keys them; the ingest identity type does not
-reach this module.  Floors and weights are parameters; the command line
-sets the floors and uses the default weights.
+reach this module.  The model's coefficients are constants; its two
+floors are parameters, which the command line sets.
 """
 
 from __future__ import annotations
@@ -28,14 +28,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .snapshot import FileCounters, ReleaseSnapshot
-
-
-@dataclass(frozen=True, slots=True)
-class DoaWeights:
-    base: float = 3.293
-    first_author: float = 1.098
-    delivery: float = 0.164
-    acceptance_log: float = 0.321
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,15 +42,11 @@ class DoaThresholds:
             raise ValueError("absolute_floor must be finite and positive")
 
 
-DEFAULT_WEIGHTS = DoaWeights()
 DEFAULT_THRESHOLDS = DoaThresholds()
 
 
-def doa_absolute(fa: int, dl: int, ac: int, weights: DoaWeights = DEFAULT_WEIGHTS) -> float:
-    return (weights.base
-            + weights.first_author * fa
-            + weights.delivery * dl
-            - weights.acceptance_log * math.log1p(ac))
+def doa_absolute(fa: int, dl: int, ac: int) -> float:
+    return 3.293 + 1.098 * fa + 0.164 * dl - 0.321 * math.log1p(ac)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,9 +70,7 @@ class FileAuthorship:
     counters: FileCounters = field(compare=False, repr=False)
 
 
-def score_file(counters: FileCounters,
-               thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
-               weights: DoaWeights = DEFAULT_WEIGHTS,
+def score_file(counters: FileCounters, thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
                ) -> tuple[tuple[DevScore, ...], frozenset[str]]:
     """Evaluate the scores and the author rule for one file's counters.
 
@@ -98,11 +84,13 @@ def score_file(counters: FileCounters,
     terms = []
     for dev, dl in sorted(counters.deliveries.items()):
         fa, ac = (1 if dev == creator else 0), total - dl
-        terms.append((dev, fa, dl, ac, doa_absolute(fa, dl, ac, weights)))
+        terms.append((dev, fa, dl, ac, doa_absolute(fa, dl, ac)))
     peak = max(term[4] for term in terms)
     if peak <= 0:
+        # reachable: a creator with one delivery scores below 0 once
+        # ln(1 + AC) passes about 14.2
         raise ValueError("maximum absolute score is not positive; "
-                         "normalization is undefined for these weights")
+                         "normalization is undefined")
     scores = []
     authors = []
     for dev, fa, dl, ac, score in terms:
@@ -116,16 +104,15 @@ def score_file(counters: FileCounters,
 
 def compute_authorship(snapshot: ReleaseSnapshot,
                        thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
-                       weights: DoaWeights = DEFAULT_WEIGHTS,
                        previous: "Mapping[int, FileAuthorship] | None" = None,
                        ) -> dict[int, FileAuthorship]:
     """Score every live file of a snapshot: results by file id, in path order.
 
-    `previous` holds results computed with the same floors and weights,
-    by file id.  One whose path is unchanged and whose counters object is
-    the snapshot's own is taken over as it is: a snapshot shares the
-    counters of every file untouched since the previous release.  Every
-    other live file is scored.
+    `previous` holds results computed with the same floors, by file id.
+    One whose path is unchanged and whose counters object is the
+    snapshot's own is taken over as it is: a snapshot shares the counters
+    of every file untouched since the previous release.  Every other live
+    file is scored.
     """
     previous = previous or {}
     files: dict[int, FileAuthorship] = {}
@@ -135,7 +122,7 @@ def compute_authorship(snapshot: ReleaseSnapshot,
         fa = previous.get(fid)
         if fa is None or fa.counters is not counters or fa.path != path:
             try:
-                scores, authors = score_file(counters, thresholds, weights)
+                scores, authors = score_file(counters, thresholds)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
             fa = FileAuthorship(fid, path, scores, authors, counters)

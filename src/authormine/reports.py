@@ -14,17 +14,15 @@ import json
 from json.encoder import encode_basestring
 from typing import IO, Collection, Iterable, Mapping, Sequence
 
-from .doa import DoaThresholds, DoaWeights, FileAuthorship, compute_authorship
+from .doa import FileAuthorship, compute_authorship
 from .network import (CoauthorGraph, assortativity, build_graph, clustering_avg_local,
                       clustering_global, mean_degree, solitary_authors)
 from .profiles import profile_proportions
 from .series import SeriesState
 from .snapshot import ReleaseSnapshot
-from .subsystems import SubsystemRules, scope_partition
+from .subsystems import SCOPE_ALL, scope_partition
 from .workload import (AuthorCounts, adjusted_fences, files_per_author, gini, medcouple,
                        quantile, top_k_share)
-
-SCOPE_ALL = "All"
 
 AUTHORSHIP_HEADER = ["release", "file", "developer_email", "fa", "dl", "ac",
                      "doa_abs", "doa_norm", "is_author"]
@@ -38,8 +36,8 @@ NETWORK_HEADER = ["release", "scope", "vertices", "edges", "mean_degree",
                   "solitary_count", "solitary_pct"]
 EDGES_HEADER = ["author_a", "author_b", "shared_files"]
 
-# the reports `analyze` writes, in output order; `release_report` and
-# `release_text` return one entry per report
+# the reports `analyze` writes, in output order; `release_report` returns
+# one entry per report
 REPORTS = (("authorship", AUTHORSHIP_HEADER), ("workload", WORKLOAD_HEADER),
            ("profiles", PROFILES_HEADER), ("network", NETWORK_HEADER))
 
@@ -166,17 +164,16 @@ def network_row(release_name: str, scope: "str | None",
     ]
 
 
-def advance(state: SeriesState, snapshot: ReleaseSnapshot, rules: SubsystemRules,
-            thresholds: DoaThresholds, weights: DoaWeights,
+def advance(state: SeriesState, snapshot: ReleaseSnapshot,
             ) -> "tuple[dict[int, FileAuthorship], dict[str | None, list[int]]]":
     """Bring `state` to `snapshot` and return its results and scope partition.
 
     Only files whose counters or path changed since the state's last
-    snapshot are scored and counted again.
+    snapshot are scored and counted again; a new state computes the
+    release from scratch.
     """
-    state.bind((rules, thresholds, weights))
-    authorship = compute_authorship(snapshot, thresholds, weights, state.authorship)
-    partition = scope_partition(snapshot, rules, state.labels)
+    authorship = compute_authorship(snapshot, state.thresholds, state.authorship)
+    partition = scope_partition(snapshot, state.rules, state.labels)
     state.update(snapshot, authorship)
     return authorship, partition
 
@@ -185,61 +182,35 @@ def _graph(state: SeriesState, scope: "str | None") -> CoauthorGraph:
     return build_graph(state.author_counts.get(scope, {}), state.edge_weights.get(scope, {}))
 
 
-def release_report(snapshot: ReleaseSnapshot, rules: SubsystemRules,
-                   thresholds: DoaThresholds, weights: DoaWeights,
-                   state: "SeriesState | None" = None,
-                   ) -> "tuple[list[RowText], list[list[str]], list[list[str]], list[list[str]]]":
-    """The reports of one release, one entry per REPORTS entry, scopes All-first:
-    the authorship rows as each live file's RowText (`authorship_rows`), and
-    the workload, profiles and network rows.
-
-    `state` carries a release series over from its previous release; the
-    release is computed from an empty state without one.
-    """
-    state = SeriesState() if state is None else state
-    authorship, partition = advance(state, snapshot, rules, thresholds, weights)
+def release_report(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[RowText]]:
+    """The reports of one release as text, one RowText list per REPORTS entry:
+    each live file's authorship rows (`authorship_rows`), then one group of
+    the workload, profiles and network rows each, scopes All-first."""
+    authorship, partition = advance(state, snapshot)
     name = snapshot.release.name
-    workload_rows = []
-    profile_rows = []
-    network_rows = []
+    tables = ([], [], [])  # the workload, profiles and network rows
     for scope, fids in partition.items():
         counts = state.author_counts.get(scope, {})
-        workload_rows.append(workload_row(name, scope, counts, len(fids)))
-        profile_rows.append(profiles_row(name, scope, counts, state.subsystem_counts))
-        network_rows.append(network_row(name, scope, _graph(state, scope)))
-    return (authorship_rows(authorship, state.tails, state.json_bodies), workload_rows,
-            profile_rows, network_rows)
-
-
-def release_text(snapshot: ReleaseSnapshot, rules: SubsystemRules,
-                 thresholds: DoaThresholds, weights: DoaWeights,
-                 state: "SeriesState | None" = None) -> list[list[RowText]]:
-    """The reports of one release as text, one RowText list per REPORTS entry:
-    one entry per live file for the authorship rows, one for each other report."""
-    state = SeriesState() if state is None else state
-    files, *tables = release_report(snapshot, rules, thresholds, weights, state)
+        tables[0].append(workload_row(name, scope, counts, len(fids)))
+        tables[1].append(profiles_row(name, scope, counts, state.subsystem_counts))
+        tables[2].append(network_row(name, scope, _graph(state, scope)))
+    files = authorship_rows(authorship, state.tails, state.json_bodies)
     return [files] + [[RowRenderer(header, state.json_bodies)([row[1:] for row in rows])]
                       for (_, header), rows in zip(REPORTS[1:], tables)]
 
 
-def release_workload(snapshot: ReleaseSnapshot, rules: SubsystemRules,
-                     thresholds: DoaThresholds, weights: DoaWeights,
-                     state: "SeriesState | None" = None) -> list[list[str]]:
+def release_workload(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[str]]:
     """The workload rows of one release and nothing else, as `stats` prints them."""
-    state = SeriesState() if state is None else state
-    _, partition = advance(state, snapshot, rules, thresholds, weights)
+    _, partition = advance(state, snapshot)
     return [workload_row(snapshot.release.name, scope, state.author_counts.get(scope, {}),
                          len(fids))
             for scope, fids in partition.items()]
 
 
-def release_graphs(snapshot: ReleaseSnapshot, rules: SubsystemRules,
-                   thresholds: DoaThresholds, weights: DoaWeights,
-                   state: "SeriesState | None" = None,
+def release_graphs(snapshot: ReleaseSnapshot, state: SeriesState,
                    ) -> "dict[str | None, CoauthorGraph]":
     """The co-authorship graph of each scope of one release, All first."""
-    state = SeriesState() if state is None else state
-    _, partition = advance(state, snapshot, rules, thresholds, weights)
+    _, partition = advance(state, snapshot)
     return {scope: _graph(state, scope) for scope in partition}
 
 

@@ -1,8 +1,9 @@
 """What one release series carries from a release to the next.
 
 Most live files do not change between two releases.  A `SeriesState`
-keeps the previous release's per-file results, so that the next release
-pays only for the files that changed since (incremental view
+holds a run's settings, its subsystem `rules` and its DOA `thresholds`,
+and keeps the previous release's per-file results, so that the next
+release pays only for the files that changed since (incremental view
 maintenance over the release series):
 
 - `authorship`, the previous release's results: each live file's path,
@@ -24,9 +25,9 @@ maintenance over the release series):
   subsystem.
 
 Entries of files that are no longer live are dropped, so the state is
-bounded by the live files and their authors.  One state serves one run,
-with one setting of rules, floors and weights, and one thread.  Handed a
-snapshot of an unrelated history it stays correct and reuses nothing.
+bounded by the live files and their authors.  One state serves one run
+and one thread.  Handed a snapshot of an unrelated history it stays
+correct and reuses nothing.
 """
 
 from __future__ import annotations
@@ -34,17 +35,20 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Hashable, Iterable
 
-from .doa import FileAuthorship
+from .doa import DoaThresholds, FileAuthorship
 from .network import Edge
 from .snapshot import ReleaseSnapshot
+from .subsystems import SubsystemRules
 
 
 class SeriesState:
     """The results and counts of the release a series last reached; empty
     when new, which makes the next release one computed from scratch."""
 
-    def __init__(self, json_bodies: bool = False) -> None:
-        self.settings: "tuple | None" = None
+    def __init__(self, rules: SubsystemRules, thresholds: DoaThresholds,
+                 json_bodies: bool = False) -> None:
+        self.rules = rules
+        self.thresholds = thresholds
         self.json_bodies = json_bodies
         self.authorship: dict[int, FileAuthorship] = {}
         self.labels: dict[str, str] = {}
@@ -53,14 +57,6 @@ class SeriesState:
         self.subsystem_counts: dict[str, dict[str, int]] = {}
         self.edge_weights: dict[str | None, dict[Edge, int]] = {}
         self.rescored = 0  # files of the last update whose results are new
-
-    def bind(self, settings: tuple) -> None:
-        """Tie the state to the settings its results were computed under."""
-        if self.settings is None:
-            self.settings = settings
-        elif self.settings != settings:
-            raise ValueError("a series state serves one setting of rules, "
-                             "floors and weights")
 
     def update(self, snapshot: ReleaseSnapshot,
                authorship: "dict[int, FileAuthorship]") -> None:

@@ -9,6 +9,8 @@ from .errors import ConfigError
 from .patterns import PathRule
 from .snapshot import ReleaseSnapshot
 
+SCOPE_ALL = "All"  # the name of the whole tree's scope, which no rule may take
+
 
 @dataclass(frozen=True)
 class SubsystemRules:
@@ -43,7 +45,8 @@ def make_rules(pairs: "list[tuple[str, str]]", fallback: str) -> SubsystemRules:
 
 def load_rules(path) -> SubsystemRules:
     """Read a rules file: tab-separated `pattern<TAB>label` lines plus a
-    required `fallback<TAB>label` line; '#' starts a comment."""
+    required `fallback<TAB>label` line; '#' starts a comment.  No label may
+    be SCOPE_ALL."""
     pairs: list[tuple[str, str]] = []
     fallback: str | None = None
     with open(path, encoding="utf-8") as fh:
@@ -56,6 +59,9 @@ def load_rules(path) -> SubsystemRules:
             pattern, label = (part.strip() for part in stripped.split("\t", 1))
             if not label:
                 raise ConfigError(f"{path}: line {line_no}: empty label")
+            if label == SCOPE_ALL:
+                raise ConfigError(f"{path}: line {line_no}: label {SCOPE_ALL!r} "
+                                  "is reserved for the whole tree")
             if pattern == "fallback":
                 if fallback is not None:
                     raise ConfigError(f"{path}: line {line_no}: duplicate fallback")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from authormine import (ChangeKind, CommitRecord, CoauthorGraph, DeveloperId,
-                        DoaThresholds, DoaWeights, FileAuthorship, FileChange, ReleaseSnapshot,
+                        DoaThresholds, FileAuthorship, FileChange, ReleaseSnapshot,
                         ReleaseTag, SeriesState, build_graph, compute_authorship,
                         default_rules, iter_snapshots)
 from authormine.reports import advance
@@ -102,9 +102,8 @@ def canonical_snapshot_json(snapshot: ReleaseSnapshot) -> str:
 def counted(snapshot: ReleaseSnapshot, rules=None) -> tuple[SeriesState, dict]:
     """A series state brought from empty to one snapshot, whose counts are
     then that snapshot's alone, and the snapshot's scope partition."""
-    state = SeriesState()
-    _, partition = advance(state, snapshot, rules or default_rules(), DoaThresholds(),
-                           DoaWeights())
+    state = SeriesState(rules or default_rules(), DoaThresholds())
+    _, partition = advance(state, snapshot)
     return state, partition
 
 

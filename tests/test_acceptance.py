@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from authormine import (DoaThresholds, DoaWeights, FileCounters, ReleaseTag,
+from authormine import (DoaThresholds, FileCounters, ReleaseTag,
                         assortativity, clustering_avg_local, clustering_global,
                         compute_authorship, doa_absolute, gini, iter_snapshots,
                         make_rules, mean_degree, medcouple, profile_proportions,
@@ -51,24 +51,21 @@ def test_criterion_1_doa_unit_vector():
 
 def test_criterion_2_author_rule_boundaries():
     with criterion(2, "author-rule boundary semantics"):
-        def verdict(counters, thresholds=DoaThresholds(), weights=DoaWeights()):
-            scores, authors = score_file(counters, thresholds, weights)
+        def verdict(counters, thresholds=DoaThresholds()):
+            scores, authors = score_file(counters, thresholds)
             return {s.developer: s.doa_norm for s in scores}, authors
 
-        # normalized score exactly 0.75 is NOT enough (strict floor);
-        # weights engineered to make the ratio exact in floating point;
-        # (fa, dl, ac) is (1, 3, 2) for dev 1 and (0, 2, 3) for dev 2
-        weights = DoaWeights(base=1.0, first_author=0.0, delivery=1.0,
-                             acceptance_log=0.0)
-        counters = FileCounters(dev(1), 5, {dev(1): 3, dev(2): 2})
-        thresholds = DoaThresholds(normalized_floor=0.75, absolute_floor=3.0)
-        norms, authors = verdict(counters, thresholds, weights)
-        assert norms[dev(2)] == 0.75
-        assert doa_absolute(0, 2, 3, weights) >= thresholds.absolute_floor
+        # a normalized score exactly at the floor is NOT enough (strict
+        # floor): the floor is set to dev 2's normalized score as scored;
+        # (fa, dl, ac) is (1, 1, 5) for dev 1 and (0, 5, 1) for dev 2
+        counters = FileCounters(dev(1), 6, {dev(1): 1, dev(2): 5})
+        norms, authors = verdict(counters)
+        assert dev(2) in authors
+        _, authors = verdict(counters, DoaThresholds(normalized_floor=norms[dev(2)]))
         assert dev(2) not in authors
 
         # absolute score exactly 3.293 with normalized > 0.75 IS an author
-        # (default weights: FA=DL=AC=0 hits the base constant exactly, which
+        # (FA=DL=AC=0 hits the base constant exactly, which
         # takes counters no history accumulates: a creator outside the
         # deliveries and no commits)
         at_floor = FileCounters(dev(0), 0, {dev(1): 0, dev(2): 0})

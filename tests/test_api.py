@@ -4,24 +4,42 @@ import ast
 import inspect
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import authormine
+from authormine import load_releases
+from conftest import FIXTURE_LOG, FIXTURE_RELEASES
 
 ROOT = Path(__file__).resolve().parent.parent
 # read only by tests until the run manifest carries the share of authors
 ALLOWED = {"author_proportion"}
 
 
-def library_use_imports() -> set[str]:
-    """The names that README's `Library use` example imports."""
+def library_use() -> str:
+    """The source of README's `Library use` example."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^## Library use\n+```python\n(.*?)^```", readme, re.M | re.S)
     assert block, "README has no Library use example"
-    return {alias.name for node in ast.walk(ast.parse(block.group(1)))
+    return block.group(1)
+
+
+def library_use_imports() -> set[str]:
+    """The names that README's `Library use` example imports."""
+    return {alias.name for node in ast.walk(ast.parse(library_use()))
             if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
+    shutil.copy(FIXTURE_LOG, tmp_path / "history.ndjson")
+    shutil.copy(FIXTURE_RELEASES, tmp_path / "releases.txt")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(library_use(), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == \
+        [tag.name for tag in load_releases(FIXTURE_RELEASES)]
 
 
 def test_every_public_name_is_used():
@@ -51,7 +69,9 @@ def test_developer_identity_is_the_email_past_ingest():
     naming = sorted(path.name for path in package.glob("*.py")
                     if re.search(r"\bDeveloperId\b", path.read_text(encoding="utf-8")))
     assert naming == ["__init__.py", "ingest.py"]
-    removed = re.compile(r"\b(?:FileDevCounters|counters_for|sort_key)\b")
+    # names removed from the package, which must not come back
+    removed = re.compile(r"\b(?:FileDevCounters|counters_for|sort_key|DoaWeights"
+                         r"|DEFAULT_WEIGHTS|release_text)\b")
     stale = sorted(str(path.relative_to(ROOT)) for path in package.rglob("*")
                    if path.is_file() and path.suffix != ".pyc"
                    and removed.search(path.read_text(encoding="utf-8", errors="replace")))

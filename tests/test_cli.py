@@ -387,6 +387,12 @@ class TestStatsAndNetwork:
         assert code == 2
         capsys.readouterr()
 
+    def test_network_scope_requires_export(self, capsys):
+        # without an export, --scope would be ignored and every scope printed
+        code = main(["network", *base_args(), "--release", "v0.3", "--scope", "Net"])
+        assert code == 2
+        assert "--scope requires an --edges or --graph export" in capsys.readouterr().err
+
     def test_export_requires_release(self, tmp_path, capsys):
         code = main(["network", *base_args(), "--edges", str(tmp_path / "e.csv")])
         assert code == 2

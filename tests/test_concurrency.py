@@ -2,7 +2,7 @@
 
 from concurrent.futures import ThreadPoolExecutor
 
-from authormine import (DoaThresholds, DoaWeights, compute_authorship, default_rules,
+from authormine import (DoaThresholds, SeriesState, compute_authorship, default_rules,
                         iter_snapshots, score_file)
 from authormine.reports import release_report
 from helpers import canonical_snapshot_json, snapshot_at
@@ -12,10 +12,9 @@ def test_concurrent_release_analytics_match_serial(fixture_records, fixture_rele
     snapshots = list(iter_snapshots(fixture_records, fixture_releases))
     rules = default_rules()
     thresholds = DoaThresholds()
-    weights = DoaWeights()
 
-    def analyze(snap):
-        return release_report(snap, rules, thresholds, weights)
+    def analyze(snap):  # from scratch: a state belongs to one thread
+        return release_report(snap, SeriesState(rules, thresholds))
 
     serial = [analyze(s) for s in snapshots]
     with ThreadPoolExecutor(max_workers=4) as pool:

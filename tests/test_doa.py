@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from authormine import (DoaThresholds, DoaWeights, FileCounters, ReleaseTag,
+from authormine import (DoaThresholds, FileCounters, ReleaseTag,
                         author_proportion, compute_authorship, doa_absolute, score_file)
 import oracles
 from helpers import (assert_views_match, counted, dev, engine_view, make_record,
@@ -58,15 +58,15 @@ def two_dev_counters(dl1, dl2):
     return FileCounters(dev(1), dl1 + dl2, {dev(1): dl1, dev(2): dl2})
 
 
-def norms(counters, weights=DoaWeights()):
+def norms(counters):
     """Normalized score per developer, as the scoring kernel reports it."""
-    scores, _ = score_file(counters, DoaThresholds(), weights)
+    scores, _ = score_file(counters)
     return {s.developer: s.doa_norm for s in scores}
 
 
-def authors_of(counters, thresholds=DoaThresholds(), weights=DoaWeights()):
+def authors_of(counters, thresholds=DoaThresholds()):
     """Author set of one file, as the scoring kernel decides it."""
-    return score_file(counters, thresholds, weights)[1]
+    return score_file(counters, thresholds)[1]
 
 
 SOLE_CREATOR = FileCounters(dev(1), 1, {dev(1): 1})
@@ -84,11 +84,12 @@ class TestDoaNormalized:
         counters = two_dev_counters(20, 1)
         assert norms(counters)[dev(2)] == pytest.approx(0.3329, abs=1e-4)
 
-    def test_degenerate_weights_rejected(self):
-        weights = DoaWeights(base=-1.0, first_author=0.0, delivery=0.5,
-                             acceptance_log=0.0)
-        with pytest.raises(ValueError):
-            norms(SOLE_CREATOR, weights)
+    def test_non_positive_peak_rejected(self):
+        # the creator's one delivery among two million commits: (1, 1, 1999999)
+        counters = FileCounters(dev(1), 2_000_000, {dev(1): 1})
+        assert doa_absolute(1, 1, 1_999_999) < 0
+        with pytest.raises(ValueError, match="maximum absolute score is not positive"):
+            norms(counters)
 
     @given(file_counters())
     def test_argmax_scores_exactly_one(self, counters):
@@ -119,15 +120,12 @@ class TestAuthorsOf:
             authors_of(FileCounters(dev(1), 0, {}))
 
     def test_normalized_floor_is_strict(self):
-        # engineered so dev2's normalized score is exactly 0.75:
-        # dev1 (fa, dl, ac) = (1, 3, 2), dev2 (0, 2, 3)
-        weights = DoaWeights(base=1.0, first_author=0.0, delivery=1.0,
-                             acceptance_log=0.0)
-        counters = two_dev_counters(3, 2)
-        thresholds = DoaThresholds(normalized_floor=0.75, absolute_floor=3.0)
-        assert norms(counters, weights)[dev(2)] == 0.75
-        assert doa_absolute(0, 2, 3, weights) >= 3.0
-        assert authors_of(counters, thresholds, weights) == {dev(1)}
+        # a floor set exactly to dev2's normalized score excludes dev2:
+        # dev1 (fa, dl, ac) = (1, 1, 5), dev2 (0, 5, 1)
+        counters = two_dev_counters(1, 5)
+        floor = norms(counters)[dev(2)]
+        assert authors_of(counters) == {dev(1), dev(2)}
+        assert authors_of(counters, DoaThresholds(normalized_floor=floor)) == {dev(1)}
 
     def test_absolute_floor_is_inclusive(self):
         # absolute score exactly at the floor with normalized > 0.75 passes:

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from authormine import (DoaThresholds, DoaWeights, ReleaseTag, assortativity,
+from authormine import (DoaThresholds, ReleaseTag, SeriesState, assortativity,
                         build_graph, clustering_avg_local, clustering_global,
                         default_rules, mean_degree, solitary_authors)
 from authormine.reports import release_graphs
@@ -37,7 +37,7 @@ def coauthored(commit_spec, scope=None):
             records.append(make_record(f"c{i:03d}", d, i,
                                        [("A" if j == 0 else "M", path)]))
     snap = snapshot_at(records, ReleaseTag("r", f"c{i:03d}"))
-    return release_graphs(snap, default_rules(), DoaThresholds(), DoaWeights())[scope]
+    return release_graphs(snap, SeriesState(default_rules(), DoaThresholds()))[scope]
 
 
 def three_author_history():

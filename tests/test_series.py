@@ -3,19 +3,17 @@
 import io
 import tracemalloc
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from authormine import (DoaThresholds, DoaWeights, ReleaseTag, SeriesState, default_rules,
-                        doa, iter_snapshots)
-from authormine.reports import (REPORTS, end_json_mirror, release_report, release_text,
-                                write_csv_text, write_json_mirror)
+from authormine import (DoaThresholds, ReleaseTag, SeriesState, default_rules, doa,
+                        iter_snapshots)
+from authormine.reports import (REPORTS, end_json_mirror, release_report, write_csv_text,
+                                write_json_mirror)
 import oracles
 from helpers import counted, dev, make_record, snapshot_at
 
 RULES = default_rules()
 THRESHOLDS = DoaThresholds()
-WEIGHTS = DoaWeights()
 
 
 def gen_series(rng):
@@ -62,8 +60,8 @@ def gen_series(rng):
 def written(snap, state=None):
     """What one release adds to each report CSV and to its JSON mirror; from
     an empty state without `state`."""
-    state = SeriesState(json_bodies=True) if state is None else state
-    report = release_text(snap, RULES, THRESHOLDS, WEIGHTS, state)
+    state = SeriesState(RULES, THRESHOLDS, json_bodies=True) if state is None else state
+    report = release_report(snap, state)
     out = []
     for (_, header), groups in zip(REPORTS, report):
         text, mirror = io.StringIO(), io.StringIO()
@@ -82,7 +80,7 @@ def nonzero(counts):
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
     records, releases = gen_series(rng)
-    state = SeriesState(json_bodies=True)
+    state = SeriesState(RULES, THRESHOLDS, json_bodies=True)
     snapshots = list(iter_snapshots(records, releases, follow_renames))
     for k, snap in enumerate(snapshots):
         scratch = snapshot_at(records, snap.release, follow_renames)
@@ -115,28 +113,19 @@ def test_series_rescores_only_changed_files(monkeypatch):
     ]
     releases = [ReleaseTag("r1", "c1"), ReleaseTag("r2", "c2"), ReleaseTag("r3", "c3"),
                 ReleaseTag("r3-again", "c3"), ReleaseTag("r4", "c4")]
-    state = SeriesState()
+    state = SeriesState(RULES, THRESHOLDS)
     rescored = []
     for snap in iter_snapshots(records, releases):
         scored.clear()
-        release_report(snap, RULES, THRESHOLDS, WEIGHTS, state)
+        release_report(snap, state)
         assert len(scored) == state.rescored
         rescored.append(state.rescored)
     # no commit, or only an empty one, since the previous release: nothing
     assert rescored == [3, 1, 0, 0, 1]
 
 
-def test_state_serves_one_setting():
-    snap = snapshot_at([make_record("c1", dev(1), 1, [("A", "a.c")])],
-                       ReleaseTag("r", "c1"))
-    state = SeriesState()
-    release_report(snap, RULES, THRESHOLDS, WEIGHTS, state)
-    with pytest.raises(ValueError, match="one setting"):
-        release_report(snap, RULES, DoaThresholds(normalized_floor=0.5), WEIGHTS, state)
-
-
 def test_fixture_series_matches_per_release(fixture_records, fixture_releases):
-    state = SeriesState(json_bodies=True)
+    state = SeriesState(RULES, THRESHOLDS, json_bodies=True)
     for snap in iter_snapshots(fixture_records, fixture_releases):
         assert written(snap, state) == written(snap)
 
@@ -160,10 +149,10 @@ def test_memory_of_a_reused_release_bounded_by_one_file():
     records = [make_record("c1", dev(1), 1, [("A", p) for p in paths]),
                make_record("c2", dev(2), 2, [("M", p) for p in paths])]
     releases = [ReleaseTag("r1", "c2"), ReleaseTag("r2", "c2")]
-    state = SeriesState(json_bodies=True)
+    state = SeriesState(RULES, THRESHOLDS, json_bodies=True)
     first, second = iter_snapshots(records, releases)
-    release_text(first, RULES, THRESHOLDS, WEIGHTS, state)
-    report = release_text(second, RULES, THRESHOLDS, WEIGHTS, state)
+    release_report(first, state)
+    report = release_report(second, state)
     assert state.rescored == 0 and len(report[0]) == len(paths)
     sink = Counted()
     tracemalloc.start()

@@ -1,5 +1,7 @@
 """Subsystem classification rules and live-file partitioning."""
 
+import re
+
 import pytest
 
 from authormine import (ConfigError, ReleaseTag, default_rules, load_rules, make_rules,
@@ -93,6 +95,18 @@ class TestLoadRules:
         path = tmp_path / "rules.tsv"
         path.write_text("fallback\tA\nfallback\tB\n")
         with pytest.raises(ConfigError):
+            load_rules(path)
+
+    @pytest.mark.parametrize("text,line_no", [
+        ("drivers/\tAll\nfallback\tMisc\n", 1),
+        ("# comment\ndrivers/\tDriver\nfallback\tAll\n", 3),
+    ], ids=["pattern", "fallback"])
+    def test_label_all_reserved(self, tmp_path, text, line_no):
+        # a rule's scope named All could not be told from the whole tree's
+        path = tmp_path / "rules.tsv"
+        path.write_text(text)
+        message = f"{path}: line {line_no}: label 'All' is reserved for the whole tree"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_rules(path)
 
     def test_missing_tab(self, tmp_path):

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from authormine import (DoaThresholds, DoaWeights, ReleaseTag, adjusted_fences,
+from authormine import (DoaThresholds, ReleaseTag, SeriesState, adjusted_fences,
                         compute_authorship, default_rules, files_per_author, gini,
                         medcouple, quantile, top_k_share)
 from authormine import reports, workload
@@ -286,8 +286,8 @@ class TestFixtureWorkload:
         monkeypatch.setattr(reports, "medcouple", counted)
         monkeypatch.setattr(workload, "medcouple", counted)
         snap = snapshot_at(fixture_records, fixture_releases[-1])
-        _, workload_rows, _, _ = reports.release_report(snap, default_rules(),
-                                                        DoaThresholds(), DoaWeights())
+        workload_rows = reports.release_workload(
+            snap, SeriesState(default_rules(), DoaThresholds()))
         with_mc = [row for row in workload_rows if row[8] != "NA"]
         assert with_mc
         assert len(calls) == len(with_mc)
