@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import logging
 import os
 import posixpath
@@ -158,8 +159,11 @@ def cmd_analyze(config: RunConfig) -> int:
     release scores, classifies, counts and formats only the files that
     changed.  Each release is streamed to the CSVs, and under --json to
     their mirrors, one file's rows at a time.
+    Each written release is frozen out of the cyclic collector's scans, whose
+    full collections never free anything here; reference counting still does.
     """
     config.validate()
+    full_collections = gc.get_stats()[2]["collections"]
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _sweep_stages(out_dir)
@@ -188,6 +192,7 @@ def cmd_analyze(config: RunConfig) -> int:
                                                       mirror[1])
                     logger.info("release %s done: %d of %d live files rescored",
                                 release, state.rescored, len(snap.live))
+                    gc.freeze()
             for fh, opener in mirrors:
                 end_json_mirror(fh, opener)
 
@@ -204,7 +209,10 @@ def cmd_analyze(config: RunConfig) -> int:
                 (out_dir / f"{name}.json").unlink(missing_ok=True)
         os.replace(stage / "manifest.json", out_dir / "manifest.json")
     finally:
+        gc.unfreeze()
         shutil.rmtree(stage, ignore_errors=True)
+    logger.info("analyze done: %d full garbage collections",
+                gc.get_stats()[2]["collections"] - full_collections)
     return EXIT_OK
 
 

@@ -15,7 +15,8 @@ inequality on the normalized floor, inclusive on the absolute floor).
 `score_file` is the only place the rule is evaluated: it scores one
 file's frozen counters (creator, commit total, deliveries), and
 `compute_authorship` applies it to every live file of a snapshot that an
-earlier result does not already cover.  A developer is their canonical
+earlier result does not already cover.  A result keeps the file's author
+set and report text, not its scores.  A developer is their canonical
 email, as the accumulator keys them; the ingest identity type does not
 reach this module.  The model's coefficients are constants; its two
 floors are parameters, which the command line sets.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .snapshot import FileCounters, ReleaseSnapshot
 
@@ -49,8 +50,7 @@ def doa_absolute(fa: int, dl: int, ac: int) -> float:
     return 3.293 + 1.098 * fa + 0.164 * dl - 0.321 * math.log1p(ac)
 
 
-@dataclass(frozen=True, slots=True)
-class DevScore:
+class DevScore(NamedTuple):
     developer: str
     fa: int
     dl: int
@@ -60,14 +60,15 @@ class DevScore:
     is_author: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileAuthorship:
     fid: int
     path: str
-    scores: tuple[DevScore, ...]  # sorted by developer email
     authors: frozenset[str]
-    # the frozen counters the scores were computed from
+    # the frozen counters the authors were computed from
     counters: FileCounters = field(compare=False, repr=False)
+    # the file's authorship rows as `reports.RowText`; None unless rendered
+    text: "tuple | None" = field(default=None, compare=False, repr=False)
 
 
 def score_file(counters: FileCounters, thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
@@ -105,14 +106,16 @@ def score_file(counters: FileCounters, thresholds: DoaThresholds = DEFAULT_THRES
 def compute_authorship(snapshot: ReleaseSnapshot,
                        thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
                        previous: "Mapping[int, FileAuthorship] | None" = None,
+                       render: "Callable[[str, tuple[DevScore, ...]], tuple] | None" = None,
                        ) -> dict[int, FileAuthorship]:
     """Score every live file of a snapshot: results by file id, in path order.
 
     `previous` holds results computed with the same floors, by file id.
     One whose path is unchanged and whose counters object is the
-    snapshot's own is taken over as it is: a snapshot shares the counters
-    of every file untouched since the previous release.  Every other live
-    file is scored.
+    snapshot's own is taken over as it is, if it has text or no `render` is
+    given: a snapshot shares the counters of every file untouched since the
+    previous release.  Every other live file is scored, with `render(path,
+    scores)` as its text.
     """
     previous = previous or {}
     files: dict[int, FileAuthorship] = {}
@@ -120,12 +123,14 @@ def compute_authorship(snapshot: ReleaseSnapshot,
         fid = snapshot.live[path]
         counters = snapshot.files[fid]
         fa = previous.get(fid)
-        if fa is None or fa.counters is not counters or fa.path != path:
+        if fa is None or fa.counters is not counters or fa.path != path \
+                or (render is not None and fa.text is None):
             try:
                 scores, authors = score_file(counters, thresholds)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-            fa = FileAuthorship(fid, path, scores, authors, counters)
+            fa = FileAuthorship(fid, path, authors, counters,
+                                None if render is None else render(path, scores))
         files[fid] = fa
     return files
 
@@ -146,6 +151,6 @@ def author_proportion(authorship: Mapping[int, FileAuthorship], fids: "list[int]
     authors: set[str] = set()
     for fid in fids:
         fa = authorship[fid]
-        developers.update(s.developer for s in fa.scores)
+        developers.update(fa.counters.deliveries)
         authors.update(fa.authors)
     return AuthorProportion(len(developers), len(authors), len(authors) / len(developers))

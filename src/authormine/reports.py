@@ -12,9 +12,9 @@ import csv
 import hashlib
 import json
 from json.encoder import encode_basestring
-from typing import IO, Collection, Iterable, Mapping, Sequence
+from typing import IO, Callable, Collection, Iterable, Mapping, Sequence
 
-from .doa import FileAuthorship, compute_authorship
+from .doa import DevScore, FileAuthorship, compute_authorship
 from .network import (CoauthorGraph, assortativity, build_graph, clustering_avg_local,
                       clustering_global, mean_degree, solitary_authors)
 from .profiles import profile_proportions
@@ -66,49 +66,64 @@ class _Lines(list):
 RowText = tuple[tuple[str, ...], tuple[str, ...]]
 
 
-class RowRenderer:
-    """Renders a report's rows, given without their release column, as RowText."""
-
-    def __init__(self, header: Sequence[str], with_json: bool) -> None:
-        self._lines = _Lines()
-        self._writer = csv.writer(self._lines, lineterminator="\n")
-        self._template = _json_template(header[1:]) if with_json else None
-
-    def __call__(self, rows: Sequence[Sequence[str]]) -> RowText:
-        self._writer.writerows(rows)
-        lines = tuple(self._lines)
-        self._lines.clear()
-        template = self._template
-        if template is None:
-            return lines, ()
-        return lines, tuple(template.format(*map(encode_basestring, row)) for row in rows)
+def render_rows(header: Sequence[str], rows: Sequence[Sequence[str]],
+                with_json: bool) -> RowText:
+    """A report's rows, given without their release column, as RowText."""
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\n").writerows(rows)
+    if not with_json:
+        return tuple(lines), ()
+    template = _json_template(header[1:])
+    return tuple(lines), tuple(template % tuple(map(encode_basestring, row)) for row in rows)
 
 
-def _json_template(keys: Sequence[str]) -> str:
+def _json_template(keys: Sequence[str], numbers: int = 0) -> str:
     """The body of a JSON row object whose first member precedes it, laid out as
-    `json.dump(..., indent=2)` does: one member per key, each value a `{}`
-    field to fill with an encoded string, then the closing brace.  A NUL
-    marks each field until the braces are escaped: an encoded key holds none."""
-    members = "".join(f",\n    {encode_basestring(key)}: \0" for key in keys)
-    return (members + "\n  }").replace("{", "{{").replace("}", "}}").replace("\0", "{}")
+    `json.dump(..., indent=2)` does: one member per key, each value a `%s`
+    field to fill with an encoded string, then the closing brace; the last
+    `numbers` fields are quoted already, as a rendered number needs no
+    escaping.  A NUL marks each field until the percent signs are escaped:
+    an encoded key holds none."""
+    marks = ["\0"] * (len(keys) - numbers) + ['"\0"'] * numbers
+    members = "".join(f",\n    {encode_basestring(k)}: {m}" for k, m in zip(keys, marks))
+    return (members + "\n  }").replace("%", "%%").replace("\0", "%s")
 
 
-def authorship_rows(authorship: "dict[int, FileAuthorship]", tails: "dict[int, RowText]",
-                    with_json: bool) -> list[RowText]:
+def authorship_renderer(with_json: bool) -> "Callable[[str, Sequence[DevScore]], RowText]":
+    """A function rendering one file's scores as its authorship RowText.  The csv
+    module and `encode_basestring` quote and escape its path once and each
+    email once per renderer; a number holds only digits, '.' and '-'."""
+    line = _Lines()
+    writerow = csv.writer(line, lineterminator="\n").writerow
+    template = _json_template(AUTHORSHIP_HEADER[1:], numbers=6) if with_json else None
+    emails: dict[str, tuple[str, str]] = {}
+
+    def quote(text: str) -> str:
+        writerow((text, ""))  # beside another field an empty one is not quoted
+        return line.pop()[:-2]
+
+    def render(path: str, scores: Sequence[DevScore]) -> RowText:
+        csv_path, json_path = quote(path), with_json and encode_basestring(path)
+        lines, bodies = [], []
+        for dev, fa, dl, ac, doa_abs, doa_norm, is_author in scores:
+            email = emails.get(dev)
+            if email is None:
+                email = emails[dev] = (quote(dev), with_json and encode_basestring(dev))
+            doa_abs, doa_norm = fmt_float(doa_abs), fmt_float(doa_norm)
+            flag = "1" if is_author else "0"
+            lines.append(f"{csv_path},{email[0]},{fa},{dl},{ac},{doa_abs},{doa_norm},{flag}\n")
+            if template is not None:
+                bodies.append(template % (json_path, email[1], fa, dl, ac,
+                                          doa_abs, doa_norm, flag))
+        return tuple(lines), tuple(bodies)
+
+    return render
+
+
+def authorship_rows(authorship: "dict[int, FileAuthorship]") -> list[RowText]:
     """Each live file's authorship rows without the release column, in path
-    order.  `tails` holds them by file id; a file found there is not rendered
-    again, and one that is not is rendered and added."""
-    render = RowRenderer(AUTHORSHIP_HEADER, with_json)
-    files = []
-    for fa in authorship.values():
-        text = tails.get(fa.fid)
-        if text is None:
-            text = tails[fa.fid] = render([
-                (fa.path, s.developer, str(s.fa), str(s.dl), str(s.ac),
-                 fmt_float(s.doa_abs), fmt_float(s.doa_norm), "1" if s.is_author else "0")
-                for s in fa.scores])
-        files.append(text)
-    return files
+    order: the text `advance` rendered for it, under `release_report`."""
+    return [fa.text for fa in authorship.values()]
 
 
 def workload_row(release_name: str, scope: "str | None",
@@ -165,14 +180,15 @@ def network_row(release_name: str, scope: "str | None",
 
 
 def advance(state: SeriesState, snapshot: ReleaseSnapshot,
+            render: "Callable[[str, Sequence[DevScore]], RowText] | None" = None,
             ) -> "tuple[dict[int, FileAuthorship], dict[str | None, list[int]]]":
     """Bring `state` to `snapshot` and return its results and scope partition.
 
     Only files whose counters or path changed since the state's last
-    snapshot are scored and counted again; a new state computes the
-    release from scratch.
+    snapshot are scored, rendered with `render` if given, and counted
+    again; a new state computes the release from scratch.
     """
-    authorship = compute_authorship(snapshot, state.thresholds, state.authorship)
+    authorship = compute_authorship(snapshot, state.thresholds, state.authorship, render)
     partition = scope_partition(snapshot, state.rules, state.labels)
     state.update(snapshot, authorship)
     return authorship, partition
@@ -186,7 +202,7 @@ def release_report(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[R
     """The reports of one release as text, one RowText list per REPORTS entry:
     each live file's authorship rows (`authorship_rows`), then one group of
     the workload, profiles and network rows each, scopes All-first."""
-    authorship, partition = advance(state, snapshot)
+    authorship, partition = advance(state, snapshot, authorship_renderer(state.json_bodies))
     name = snapshot.release.name
     tables = ([], [], [])  # the workload, profiles and network rows
     for scope, fids in partition.items():
@@ -194,8 +210,8 @@ def release_report(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[R
         tables[0].append(workload_row(name, scope, counts, len(fids)))
         tables[1].append(profiles_row(name, scope, counts, state.subsystem_counts))
         tables[2].append(network_row(name, scope, _graph(state, scope)))
-    files = authorship_rows(authorship, state.tails, state.json_bodies)
-    return [files] + [[RowRenderer(header, state.json_bodies)([row[1:] for row in rows])]
+    files = authorship_rows(authorship)
+    return [files] + [[render_rows(header, [row[1:] for row in rows], state.json_bodies)]
                       for (_, header), rows in zip(REPORTS[1:], tables)]
 
 

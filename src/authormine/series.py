@@ -7,17 +7,13 @@ release pays only for the files that changed since (incremental view
 maintenance over the release series):
 
 - `authorship`, the previous release's results: each live file's path,
-  the frozen counters object it was scored from, its scores and author
-  set.  `compute_authorship` takes a file over while its counters object
-  and path are the same;
+  the frozen counters object it was scored from, its author set and the
+  text `reports.release_report` renders as it scores: its authorship rows
+  without the release column, with JSON bodies under `json_bodies`.
+  `compute_authorship` takes a file over while its counters object and
+  path are the same, so an unchanged file is neither scored nor formatted;
 - `labels`, a memo of the subsystem label of every live path, so a path
   is classified once;
-- `tails`, each live file's authorship rows rendered as text without the
-  release column, filled in by `reports.authorship_rows`: the CSV lines
-  and, for a state made with `json_bodies`, each row's JSON object body.
-  A release's reports put the release in front of each file's text and
-  stream it out, so a file unchanged since the previous release is not
-  formatted again;
 - three sets of exact integer counts, which `update` keeps current by
   subtracting each changed or dead file's old author set and adding its
   new one: per scope, the authored files of each author and the shared
@@ -52,7 +48,6 @@ class SeriesState:
         self.json_bodies = json_bodies
         self.authorship: dict[int, FileAuthorship] = {}
         self.labels: dict[str, str] = {}
-        self.tails: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self.author_counts: dict[str | None, dict[str, int]] = {}
         self.subsystem_counts: dict[str, dict[str, int]] = {}
         self.edge_weights: dict[str | None, dict[Edge, int]] = {}
@@ -81,7 +76,6 @@ class SeriesState:
         if old is None:
             self._count(new, 1)
             return
-        self.tails.pop(old.fid, None)
         if new is None or old.authors != new.authors \
                 or self.labels[old.path] != self.labels[new.path]:
             self._count(old, -1)

@@ -19,6 +19,10 @@ class SubsystemRules:
     rules: tuple[tuple[PathRule, str], ...]
     fallback: str
 
+    def __post_init__(self):
+        if SCOPE_ALL in self.labels:
+            raise ValueError(f"label {SCOPE_ALL!r} is reserved for the whole tree")
+
     @property
     def labels(self) -> tuple[str, ...]:
         """All labels in declaration order, fallback last."""

@@ -7,7 +7,7 @@ import json
 from authormine import (ChangeKind, CommitRecord, CoauthorGraph, DeveloperId,
                         DoaThresholds, FileAuthorship, FileChange, ReleaseSnapshot,
                         ReleaseTag, SeriesState, build_graph, compute_authorship,
-                        default_rules, iter_snapshots)
+                        default_rules, iter_snapshots, score_file)
 from authormine.reports import advance
 
 
@@ -48,12 +48,16 @@ def snapshot_at(records, release: ReleaseTag, follow_renames: bool = True,
 
 
 def engine_view(snapshot: ReleaseSnapshot, authorship: "dict[int, FileAuthorship]") -> dict:
-    """Engine results in the oracle's comparison shape, keyed by path/email."""
+    """Engine results in the oracle's comparison shape, keyed by path/email:
+    each file's counters and scores as `score_file` gives them for the
+    snapshot's counters of that file, whose author set is the result's."""
     view = {}
     for fa in authorship.values():
+        scores, authors = score_file(snapshot.files[fa.fid])
+        assert authors == fa.authors, f"author set of {fa.path} is not score_file's"
         view[fa.path] = {
-            "counters": {s.developer: (s.fa, s.dl, s.ac) for s in fa.scores},
-            "doa": {s.developer: (s.doa_abs, s.doa_norm) for s in fa.scores},
+            "counters": {s.developer: (s.fa, s.dl, s.ac) for s in scores},
+            "doa": {s.developer: (s.doa_abs, s.doa_norm) for s in scores},
             "authors": set(fa.authors),
         }
     return view

@@ -1,6 +1,7 @@
 """The public API is sealed: every exported function and class has a use."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import re
@@ -10,7 +11,8 @@ import sys
 from pathlib import Path
 
 import authormine
-from authormine import load_releases
+from authormine import (DoaThresholds, FileAuthorship, SeriesState, default_rules,
+                        load_releases)
 from conftest import FIXTURE_LOG, FIXTURE_RELEASES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,6 +78,13 @@ def test_developer_identity_is_the_email_past_ingest():
                    if path.is_file() and path.suffix != ".pyc"
                    and removed.search(path.read_text(encoding="utf-8", errors="replace")))
     assert stale == []
+
+
+def test_results_keep_text_not_scores():
+    """A file's scores are rendered as they are computed and then dropped: a
+    result keeps its text, and the series state keeps no second table of it."""
+    assert "scores" not in {f.name for f in dataclasses.fields(FileAuthorship)}
+    assert not hasattr(SeriesState(default_rules(), DoaThresholds()), "tails")
 
 
 def test_cli_imports_no_array_library():

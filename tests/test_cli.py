@@ -1,10 +1,12 @@
 """End-to-end CLI behaviour: analyze goldens, queries, exports, exit codes."""
 
 import csv
+import gc
 import io
 import json
 import logging
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from authormine import (compute_authorship, iter_snapshots, load_releases,
-                        parse_commit_log, resolve_aliases)
+                        parse_commit_log, resolve_aliases, score_file)
 from authormine.cli import main
 from authormine.reports import AUTHORSHIP_HEADER, fmt_float
 from conftest import (FIXTURE_ALIASES, FIXTURE_LOG, FIXTURE_RELEASES, GOLDEN_DIR)
@@ -116,9 +118,10 @@ class TestAnalyze:
         rows = [AUTHORSHIP_HEADER]
         for snap in iter_snapshots(records, load_releases(releases)):
             for fa in compute_authorship(snap).values():
+                scores, _ = score_file(snap.files[fa.fid])
                 rows.extend([snap.release.name, fa.path, s.developer, str(s.fa), str(s.dl),
                              str(s.ac), fmt_float(s.doa_abs), fmt_float(s.doa_norm),
-                             str(int(s.is_author))] for s in fa.scores)
+                             str(int(s.is_author))] for s in scores)
         expected = io.StringIO()
         csv.writer(expected, lineterminator="\n").writerows(rows)
         assert (out / "authorship.csv").read_bytes() == expected.getvalue().encode("utf-8")
@@ -182,8 +185,35 @@ class TestAnalyze:
         with caplog.at_level(logging.INFO, logger="authormine.cli"):
             assert main(["-v", "analyze", *base_args(), "-o", str(tmp_path)]) == 0
         logged = [r.getMessage() for r in caplog.records if r.name == "authormine.cli"]
-        assert logged == expected
+        assert logged[:-1] == expected
         assert 0 < int(expected[-1].split()[3]) < len(current)
+
+    def test_verbose_counts_full_collections(self, tmp_path, caplog, capsys):
+        with caplog.at_level(logging.INFO, logger="authormine.cli"):
+            assert main(["-v", "analyze", *base_args(), "-o", str(tmp_path)]) == 0
+        last = [r.getMessage() for r in caplog.records if r.name == "authormine.cli"][-1]
+        assert re.fullmatch(r"analyze done: \d+ full garbage collections", last)
+        assert capsys.readouterr().out == ""
+        assert "collections" not in (tmp_path / "manifest.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("releases,code,freezes", [
+        ("v0.1 c015\nv0.2 c036\nv0.3 c058\n", 0, 3),
+        ("v0.1 c015\nv0.2 absent\n", 1, 1),
+    ], ids=["success", "failure"])
+    def test_collector_left_as_found(self, tmp_path, monkeypatch, releases, code, freezes):
+        # each written release is frozen out of the collector's scans, and a
+        # run that fails after one still unfreezes it
+        path = tmp_path / "releases.txt"
+        path.write_text(releases, encoding="utf-8")
+        before = gc.get_freeze_count()
+        frozen = []
+        freeze = gc.freeze
+        monkeypatch.setattr(gc, "freeze",
+                            lambda: (freeze(), frozen.append(gc.get_freeze_count())))
+        assert main(["analyze", *base_args(), "--releases", str(path),
+                     "-o", str(tmp_path / "out")]) == code
+        assert len(frozen) == freezes and all(n > before for n in frozen)
+        assert gc.get_freeze_count() == before
 
     def test_missing_releases_file_fails_fast(self, tmp_path):
         out = tmp_path / "out"

@@ -155,8 +155,9 @@ class TestAuthorshipMap:
             authorship = compute_authorship(snap)
             assert len(authorship) == len(snap.live)
             for fa in authorship.values():
-                assert max(s.doa_norm for s in fa.scores) == 1.0
-                assert fa.authors <= {s.developer for s in fa.scores}
+                scores, authors = score_file(snap.files[fa.fid])
+                assert max(s.doa_norm for s in scores) == 1.0
+                assert fa.authors == authors <= {s.developer for s in scores}
 
     def test_authored_files_index(self, fixture_records, fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])

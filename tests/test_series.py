@@ -95,7 +95,8 @@ def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
         assert state.subsystem_counts == fresh.subsystem_counts
         # entries of files that died are gone
         assert set(state.labels) == set(snap.live)
-        assert set(state.tails) == set(state.authorship) == set(snap.live.values())
+        assert set(state.authorship) == set(snap.live.values())
+        assert all(fa.text is not None for fa in state.authorship.values())
         assert set(snap.files) == set(snap.live.values()) == set(scratch.files)
 
 

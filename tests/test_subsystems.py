@@ -4,8 +4,9 @@ import re
 
 import pytest
 
-from authormine import (ConfigError, ReleaseTag, default_rules, load_rules, make_rules,
-                        scope_partition)
+from authormine import (ConfigError, ReleaseTag, SubsystemRules, default_rules,
+                        load_rules, make_rules, scope_partition)
+from authormine.patterns import PathRule
 from helpers import dev, make_record, snapshot_at
 
 
@@ -108,6 +109,18 @@ class TestLoadRules:
         message = f"{path}: line {line_no}: label 'All' is reserved for the whole tree"
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_rules(path)
+
+    @pytest.mark.parametrize("pairs,fallback", [
+        ([("drivers/", "All")], "Misc"),
+        ([("drivers/", "Driver")], "All"),
+    ], ids=["pattern", "fallback"])
+    def test_label_all_reserved_without_a_file(self, pairs, fallback):
+        message = "label 'All' is reserved for the whole tree"
+        with pytest.raises(ValueError, match=message):
+            make_rules(pairs, fallback)
+        compiled = tuple((PathRule.compile(pattern), label) for pattern, label in pairs)
+        with pytest.raises(ValueError, match=message):
+            SubsystemRules(compiled, fallback)
 
     def test_missing_tab(self, tmp_path):
         path = tmp_path / "rules.tsv"
