@@ -161,9 +161,13 @@ def cmd_analyze(config: RunConfig) -> int:
     their mirrors, one file's rows at a time.
     Each written release is frozen out of the cyclic collector's scans, whose
     full collections never free anything here; reference counting still does.
+    A caller that has frozen objects itself keeps them frozen, and then the
+    run freezes nothing.
     """
     config.validate()
     full_collections = gc.get_stats()[2]["collections"]
+    # gc.unfreeze() would also thaw what the caller froze
+    freeze = gc.get_freeze_count() == 0
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _sweep_stages(out_dir)
@@ -192,7 +196,8 @@ def cmd_analyze(config: RunConfig) -> int:
                                                       mirror[1])
                     logger.info("release %s done: %d of %d live files rescored",
                                 release, state.rescored, len(snap.live))
-                    gc.freeze()
+                    if freeze:
+                        gc.freeze()
             for fh, opener in mirrors:
                 end_json_mirror(fh, opener)
 
@@ -209,7 +214,8 @@ def cmd_analyze(config: RunConfig) -> int:
                 (out_dir / f"{name}.json").unlink(missing_ok=True)
         os.replace(stage / "manifest.json", out_dir / "manifest.json")
     finally:
-        gc.unfreeze()
+        if freeze:
+            gc.unfreeze()
         shutil.rmtree(stage, ignore_errors=True)
     logger.info("analyze done: %d full garbage collections",
                 gc.get_stats()[2]["collections"] - full_collections)

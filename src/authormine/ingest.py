@@ -13,6 +13,14 @@ committers are not part of the schema at all.  `DeveloperId` exists only
 here, at ingest: `resolve_aliases` trims and lowercases emails and merges
 different ones through the alias map, and from the accumulator on a
 developer is their canonical email, a plain `str`.
+
+Records and changes are named tuples, built once per commit and per
+change.  Each stage is a generator holding one record at a time.  The
+parser's shared identities (one per raw email) and the alias resolver's
+memo (one per raw name and email) are bounded by the distinct raw
+identities, not by commits.  The one structure that grows with the
+commits is the set of commit ids that `snapshot.iter_snapshots` keeps
+to catch overlapping logs.
 """
 
 from __future__ import annotations
@@ -21,9 +29,9 @@ import json
 import logging
 import posixpath
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Iterator, Mapping, Union
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import ConfigError, LogParseError, LogSchemaError
 from .patterns import PathMatcher
@@ -51,19 +59,24 @@ class ChangeKind(Enum):
     RENAME = "R"
 
 
-@dataclass(frozen=True, slots=True)
-class FileChange:
+class _FileChangeFields(NamedTuple):
     kind: ChangeKind
     path: str
     old_path: str | None = None
 
-    def __post_init__(self):
-        if (self.kind is ChangeKind.RENAME) != (self.old_path is not None):
+
+class FileChange(_FileChangeFields):
+    """One file change of a commit; `old_path` is set exactly for renames."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: ChangeKind, path: str, old_path: str | None = None):
+        if (kind is ChangeKind.RENAME) != (old_path is not None):
             raise ValueError("old_path must be present exactly for renames")
+        return super().__new__(cls, kind, path, old_path)
 
 
-@dataclass(frozen=True, slots=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     commit_id: str
     author: DeveloperId
     timestamp: int
@@ -81,9 +94,22 @@ class ReleaseTag:
 AliasMap = Mapping[tuple[str, str], DeveloperId]
 
 _KIND_BY_CODE = {k.value: k for k in ChangeKind}
+# the kinds of a two-element entry, which the parser builds without a check
+_PLAIN_KIND_BY_CODE = {code: k for code, k in _KIND_BY_CODE.items()
+                       if k is not ChangeKind.RENAME}
+
+
+def _is_plain(path: str) -> bool:
+    """True when `path` is non-empty, equal to its `posixpath.normpath` and
+    legal: no empty, `.` or `..` segment, no leading or trailing slash and
+    no carriage return.  False also for some legal paths, such as `.config`."""
+    return (path != "" and path[0] != "." and path[0] != "/" and path[-1] != "/"
+            and "//" not in path and "/." not in path and "\r" not in path)
 
 
 def _normalize_path(raw: object, line_no: int) -> str:
+    if type(raw) is str and _is_plain(raw):
+        return raw
     if not isinstance(raw, str) or not raw:
         raise LogSchemaError("change path must be a non-empty string", line_no, "ch")
     path = posixpath.normpath(raw)
@@ -117,6 +143,29 @@ def _parse_change(entry: object, line_no: int) -> FileChange:
     return FileChange(kind, _normalize_path(entry[1], line_no))
 
 
+def _checked_fields(obj: dict, line_no: int) -> tuple[str, str, str, int, list]:
+    """The record's five fields, checked in order: the first fault is the one raised."""
+    commit_id = _require(obj, "id", line_no)
+    if not isinstance(commit_id, str) or not commit_id:
+        raise LogSchemaError("must be a non-empty string", line_no, "id")
+    name = _require(obj, "an", line_no)
+    if not isinstance(name, str):
+        raise LogSchemaError("must be a string", line_no, "an")
+    email = _require(obj, "ae", line_no)
+    if not isinstance(email, str):
+        raise LogSchemaError("must be a string", line_no, "ae")
+    # see _normalize_path; git refuses a newline in an ident
+    if "\r" in email or "\n" in email:
+        raise LogSchemaError("must not contain a line break", line_no, "ae")
+    ts = _require(obj, "ts", line_no)
+    if isinstance(ts, bool) or not isinstance(ts, int):
+        raise LogSchemaError("must be an integer", line_no, "ts")
+    ch = _require(obj, "ch", line_no)
+    if not isinstance(ch, list):
+        raise LogSchemaError("must be an array", line_no, "ch")
+    return commit_id, name, email, ts, ch
+
+
 def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable[str]],
                      ) -> Iterator[CommitRecord]:
     """Parse an NDJSON commit log into CommitRecords, in stream order.
@@ -124,10 +173,15 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
     Blank lines are skipped.  Records with an empty change list (merge
     and empty commits) are yielded too, so that they can close a release.
     Decreasing timestamps are tolerated (git histories contain clock
-    skew) and reported once as a warning.
+    skew) and reported once as a warning.  Records share one `DeveloperId`
+    per raw email, until that email comes with another name.
     """
     skew_warned = False
     last_ts: int | None = None
+    authors: dict[str, DeveloperId] = {}  # by raw email, under its last name
+    plain_kind = _PLAIN_KIND_BY_CODE.get
+    new_tuple = tuple.__new__
+    scan = json.JSONDecoder().scan_once
     for line_no, raw in enumerate(stream, 1):
         if isinstance(raw, bytes):
             try:
@@ -136,33 +190,33 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
                 raise LogParseError(f"invalid UTF-8: {exc}", line_no) from exc
         else:
             line = raw
-        if not line.strip():
-            continue
+        # json.loads without its wrapper, for one value at the start of the line
+        # followed by JSON whitespace only; json.loads takes any other line
+        # and words its error
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+            obj, end = scan(line, 0)
+            if end != len(line) and line[end:].strip(" \t\n\r"):
+                raise ValueError("extra data")
+        except (StopIteration, ValueError):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if not line.strip():
+                    continue
+                raise LogParseError(f"invalid JSON: {exc.msg}", line_no) from exc
         if not isinstance(obj, dict):
             raise LogSchemaError("record must be a JSON object", line_no, "record")
 
-        commit_id = _require(obj, "id", line_no)
-        if not isinstance(commit_id, str) or not commit_id:
-            raise LogSchemaError("must be a non-empty string", line_no, "id")
-        name = _require(obj, "an", line_no)
-        if not isinstance(name, str):
-            raise LogSchemaError("must be a string", line_no, "an")
-        email = _require(obj, "ae", line_no)
-        if not isinstance(email, str):
-            raise LogSchemaError("must be a string", line_no, "ae")
-        # see _normalize_path; git refuses a newline in an ident
-        if "\r" in email or "\n" in email:
-            raise LogSchemaError("must not contain a line break", line_no, "ae")
-        ts = _require(obj, "ts", line_no)
-        if isinstance(ts, bool) or not isinstance(ts, int):
-            raise LogSchemaError("must be an integer", line_no, "ts")
-        ch = _require(obj, "ch", line_no)
-        if not isinstance(ch, list):
-            raise LogSchemaError("must be an array", line_no, "ch")
+        try:
+            commit_id, name, email, ts, ch = \
+                obj["id"], obj["an"], obj["ae"], obj["ts"], obj["ch"]
+            valid = (type(commit_id) is str and commit_id != "" and type(name) is str
+                     and type(email) is str and "\r" not in email and "\n" not in email
+                     and type(ts) is int and type(ch) is list)
+        except KeyError:
+            valid = False
+        if not valid:  # raises the first fault
+            commit_id, name, email, ts, ch = _checked_fields(obj, line_no)
 
         if last_ts is not None and ts < last_ts and not skew_warned:
             logger.warning(
@@ -172,8 +226,20 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
             skew_warned = True
         last_ts = ts
 
-        changes = tuple(_parse_change(entry, line_no) for entry in ch)
-        yield CommitRecord(commit_id, DeveloperId(name, email), ts, changes)
+        changes = []
+        for entry in ch:
+            if type(entry) is list and len(entry) == 2:
+                code, path = entry
+                kind = plain_kind(code) if type(code) is str else None
+                if kind is not None and type(path) is str and _is_plain(path):
+                    # never a rename, so FileChange's check would always pass
+                    changes.append(new_tuple(FileChange, (kind, path, None)))
+                    continue
+            changes.append(_parse_change(entry, line_no))
+        author = authors.get(email)
+        if author is None or author.name != name:
+            author = authors[email] = DeveloperId(name, email)
+        yield CommitRecord(commit_id, author, ts, tuple(changes))
 
 
 def resolve_aliases(records: Iterable[CommitRecord], alias_map: AliasMap,
@@ -183,23 +249,32 @@ def resolve_aliases(records: Iterable[CommitRecord], alias_map: AliasMap,
     Lookup keys are (trimmed name, trimmed lowercased email).  Identities
     absent from the map pass through with the email of their key, trimmed
     and lowercased, which is the only automatic normalization applied.
+    Each distinct raw (name, email) is resolved once.
     """
+    resolved: dict[tuple[str, str], DeveloperId] = {}
     seen_names: dict[str, str] = {}
     collisions: set[str] = set()
     for record in records:
         raw = record.author
-        key = (raw.name.strip(), raw.email.strip().lower())
-        canonical = alias_map.get(key)
+        canonical = resolved.get((raw.name, raw.email))
         if canonical is None:
-            email = key[1]
-            canonical = raw if raw.email == email else DeveloperId(raw.name, email)
-        known = seen_names.setdefault(canonical.email, canonical.name)
-        if known != canonical.name and canonical.email not in collisions:
-            collisions.add(canonical.email)
-            logger.warning(
-                "email %s is used with different names (%r, %r); "
-                "they count as one developer", canonical.email, known, canonical.name)
-        yield record if canonical is raw else replace(record, author=canonical)
+            key = (raw.name.strip(), raw.email.strip().lower())
+            canonical = alias_map.get(key)
+            if canonical is None:
+                email = key[1]
+                canonical = raw if raw.email == email else DeveloperId(raw.name, email)
+            resolved[raw.name, raw.email] = canonical
+            # an entry of seen_names never changes, so a raw identity's
+            # first sight is the only one that can warn
+            known = seen_names.setdefault(canonical.email, canonical.name)
+            if known != canonical.name and canonical.email not in collisions:
+                collisions.add(canonical.email)
+                logger.warning(
+                    "email %s is used with different names (%r, %r); "
+                    "they count as one developer", canonical.email, known,
+                    canonical.name)
+        yield record if canonical is raw else \
+            CommitRecord(record.commit_id, canonical, record.timestamp, record.changes)
 
 
 def apply_path_filters(records: Iterable[CommitRecord],
@@ -215,15 +290,18 @@ def apply_path_filters(records: Iterable[CommitRecord],
     if not matcher:
         yield from records
         return
+    match = matcher.match
     for record in records:
-        kept = tuple(
-            ch for ch in record.changes
-            if not (matcher.matches(ch.path)
-                    or (ch.old_path is not None and matcher.matches(ch.old_path))))
-        if len(kept) == len(record.changes):
-            yield record
+        for _, path, old_path in record.changes:
+            if match(path) or (old_path is not None and match(old_path)):
+                break
         else:
-            yield replace(record, changes=kept)
+            yield record
+            continue
+        kept = tuple(ch for ch in record.changes
+                     if not (match(ch.path)
+                             or (ch.old_path is not None and match(ch.old_path))))
+        yield CommitRecord(record.commit_id, record.author, record.timestamp, kept)
 
 
 _ALIAS_LINE = re.compile(

@@ -45,13 +45,24 @@ class PathRule:
 
 
 class PathMatcher:
-    """Ordered list of rules; a path matches if any rule matches."""
+    """Ordered list of rules; a path matches if any rule matches.
+
+    `match(path)` returns a match object exactly when some rule matches and
+    None otherwise.  The rules are compiled into one regex tried at the
+    start of the path: a prefix ending in ``/`` as itself, a bare name
+    followed by ``/`` or the end of the path, and a glob as its fnmatch
+    translation.
+    """
 
     def __init__(self, patterns: "list[str] | tuple[str, ...]"):
         self.rules = tuple(PathRule.compile(p) for p in patterns)
-
-    def matches(self, path: str) -> bool:
-        return any(rule.matches(path) for rule in self.rules)
+        alternatives = [
+            rule._regex.pattern if rule._regex is not None
+            else re.escape(rule.pattern) if rule.pattern.endswith("/")
+            else re.escape(rule.pattern) + r"(?:/|\Z)"
+            for rule in self.rules]
+        # with no rules, a regex that matches nothing
+        self.match = re.compile("|".join(alternatives) or "(?!)").match
 
     def __bool__(self) -> bool:
         return bool(self.rules)

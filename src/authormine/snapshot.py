@@ -140,18 +140,18 @@ class _Accumulator:
     def feed(self, record: CommitRecord) -> None:
         if not record.changes:  # empty, merge or fully excluded; only the id matters
             return
+        commit_id = record.commit_id
         dev = record.author.email
         delivered: set[_FileState] = set()
-        for change in record.changes:
-            if change.kind is ChangeKind.ADD:
-                self._add(record.commit_id, change.path, dev, delivered)
-            elif change.kind is ChangeKind.MODIFY:
-                self._modify(record.commit_id, change.path, dev, delivered)
-            elif change.kind is ChangeKind.DELETE:
-                self._delete(record.commit_id, change.path, dev, delivered)
+        for kind, path, old_path in record.changes:
+            if kind is ChangeKind.ADD:
+                self._add(commit_id, path, dev, delivered)
+            elif kind is ChangeKind.MODIFY:
+                self._modify(commit_id, path, dev, delivered)
+            elif kind is ChangeKind.DELETE:
+                self._delete(commit_id, path, dev, delivered)
             else:
-                self._rename(record.commit_id, change.path, change.old_path, dev,
-                             delivered)
+                self._rename(commit_id, path, old_path, dev, delivered)
 
     def freeze(self, release: ReleaseTag) -> ReleaseSnapshot:
         """Freeze the files delivered since the last release; the rest keep theirs."""

@@ -215,6 +215,17 @@ class TestAnalyze:
         assert len(frozen) == freezes and all(n > before for n in frozen)
         assert gc.get_freeze_count() == before
 
+    def test_caller_frozen_objects_stay_frozen(self, tmp_path):
+        # an in-process caller that froze its own objects gets them back frozen
+        gc.freeze()
+        try:
+            before = gc.get_freeze_count()
+            assert before > 0
+            assert run_analyze(tmp_path / "out") == 0
+            assert gc.get_freeze_count() >= before
+        finally:
+            gc.unfreeze()
+
     def test_missing_releases_file_fails_fast(self, tmp_path):
         out = tmp_path / "out"
         code = main(["analyze", "--log", str(FIXTURE_LOG),

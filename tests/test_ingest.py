@@ -2,15 +2,19 @@
 
 import io
 import json
+import posixpath
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from authormine import (AuthormineError, BoundaryNotFoundError, ChangeKind, ConfigError,
                         DeveloperId, FileChange, FileCounters, LogParseError,
                         LogSchemaError, ReleaseTag, apply_path_filters, compute_authorship,
                         iter_snapshots, load_alias_map, load_releases, parse_commit_log,
                         resolve_aliases, score_file)
+from authormine.ingest import _is_plain
+from authormine.patterns import PathMatcher
 import oracles
 from conftest import FIXTURE_ALIASES
 from helpers import (assert_views_match, canonical_snapshot_json, dev, engine_view,
@@ -19,6 +23,124 @@ from helpers import (assert_views_match, canonical_snapshot_json, dev, engine_vi
 
 def parse(text):
     return list(parse_commit_log(io.StringIO(text)))
+
+
+def reference_parse(lines):
+    """The log format's checks one at a time, in their order, with
+    `json.loads` on every line and `posixpath.normpath` on every path."""
+
+    def require(obj, name, line_no):
+        if name not in obj:
+            raise LogSchemaError("missing required field", line_no, name)
+        return obj[name]
+
+    def norm(raw, line_no):
+        if not isinstance(raw, str) or not raw:
+            raise LogSchemaError("change path must be a non-empty string", line_no, "ch")
+        path = posixpath.normpath(raw)
+        if path.startswith("/") or path in (".", "..") or path.startswith("../") \
+                or "\r" in path:
+            raise LogSchemaError(f"illegal path {raw!r}", line_no, "ch")
+        return path
+
+    def change(entry, line_no):
+        if not isinstance(entry, list) or not entry:
+            raise LogSchemaError("change entry must be a non-empty array", line_no, "ch")
+        code = entry[0]
+        if code not in ("A", "M", "D", "R") or not isinstance(code, str):
+            raise LogSchemaError(f"unknown change kind {code!r}", line_no, "ch")
+        if code == "R":
+            if len(entry) != 3:
+                raise LogSchemaError("rename entry must be [\"R\", new, old]", line_no, "ch")
+            return (code, norm(entry[1], line_no), norm(entry[2], line_no))
+        if len(entry) != 2:
+            raise LogSchemaError("change entry must be [kind, path]", line_no, "ch")
+        return (code, norm(entry[1], line_no), None)
+
+    out = []
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+        if not isinstance(obj, dict):
+            raise LogSchemaError("record must be a JSON object", line_no, "record")
+        commit_id = require(obj, "id", line_no)
+        if not isinstance(commit_id, str) or not commit_id:
+            raise LogSchemaError("must be a non-empty string", line_no, "id")
+        name = require(obj, "an", line_no)
+        if not isinstance(name, str):
+            raise LogSchemaError("must be a string", line_no, "an")
+        email = require(obj, "ae", line_no)
+        if not isinstance(email, str):
+            raise LogSchemaError("must be a string", line_no, "ae")
+        if "\r" in email or "\n" in email:
+            raise LogSchemaError("must not contain a line break", line_no, "ae")
+        ts = require(obj, "ts", line_no)
+        if isinstance(ts, bool) or not isinstance(ts, int):
+            raise LogSchemaError("must be an integer", line_no, "ts")
+        ch = require(obj, "ch", line_no)
+        if not isinstance(ch, list):
+            raise LogSchemaError("must be an array", line_no, "ch")
+        out.append((commit_id, name, email, ts, [change(e, line_no) for e in ch]))
+    return out
+
+
+def plain_parse(lines):
+    """`parse_commit_log`'s records in `reference_parse`'s form."""
+    return [(r.commit_id, r.author.name, r.author.email, r.timestamp,
+             [(c.kind.value, c.path, c.old_path) for c in r.changes])
+            for r in parse_commit_log(lines)]
+
+
+def outcome(parser, lines):
+    """What a parser makes of `lines`: its records, or its error."""
+    try:
+        return parser(lines)
+    except LogParseError as exc:
+        return (type(exc), str(exc), exc.line_no, getattr(exc, "field", None))
+
+
+# paths drawn from the characters normpath and the path checks look at
+PATH_TEXT = st.text(alphabet="/.\ra", max_size=8) | st.text(alphabet="/.ab-", max_size=12)
+EDGE_PATHS = ["a/./b", "a/.", "a//b", "./a", "a/", "/a", "a/..", "a/../..", "..", ".",
+              "a\rb", ".cfg", "a/.cfg", "a..b"]
+PATHS = PATH_TEXT | st.sampled_from(EDGE_PATHS + [None, 1, ["a"]])
+CODES = st.sampled_from(["A", "M", "D", "R", "X", "", 1, None, ["A"]])
+ENTRIES = st.one_of(
+    st.tuples(CODES, PATHS).map(list),
+    st.tuples(CODES, PATHS, PATHS).map(list),
+    st.lists(PATHS, max_size=1),
+    st.sampled_from(["A", None, {"A": "f"}]))
+MISSING = object()
+# (field, value) pairs that replace a field of a valid record, or remove it
+OVERRIDES = [(name, value) for name, values in {
+    "id": ["c2", "", 1, None, ["c1"]],
+    "an": ["", 1, ["x"], {"a": 1}, None],
+    "ae": [" A@X ", "", "a\r@x", "a\n@x", 2.5, ["x"], {"a": 1}],
+    "ts": [0, -5, 2**70, True, "1", 1.5, None],
+    "ch": ["x", {}, None],
+}.items() for value in [*values, MISSING]]
+
+
+def record_with(changes, overrides):
+    record = {"id": "c1", "an": "Ann", "ae": "a@x", "ts": 1, "ch": changes}
+    for name, value in overrides:
+        record[name] = value
+    return {name: value for name, value in record.items() if value is not MISSING}
+
+
+RECORDS = st.builds(record_with, st.lists(ENTRIES, max_size=3),
+                    st.lists(st.sampled_from(OVERRIDES), max_size=2))
+# text around a record: JSON whitespace, other whitespace, a BOM, junk
+PADDING = st.sampled_from(["", " ", "\t", "\r", "\n", "  \n", "\xa0", "\x0c", "\ufeff",
+                           "x", "}", "[]"])
+LINES = st.one_of(
+    st.tuples(PADDING, RECORDS, PADDING).map(lambda t: t[0] + json.dumps(t[1]) + t[2]),
+    PADDING,
+    st.sampled_from(["[1]", '"s"', "{", '{"id":', "null"]))
 
 
 class TestParseCommitLog:
@@ -106,6 +228,55 @@ class TestParseCommitLog:
         line = b'{"id":"a1","an":"A","ae":"a@x","ts":1,"ch":[["A","f.c"]]}'
         assert len(list(parse_commit_log(io.BytesIO(line)))) == 1
 
+    @pytest.mark.parametrize("name", ["an", "ae"])
+    @pytest.mark.parametrize("value", [["x"], {"a": 1}, 3], ids=["list", "object", "number"])
+    def test_identity_field_of_wrong_type(self, name, value):
+        record = {"id": "a1", "an": "A", "ae": "a@x", "ts": 1, "ch": []}
+        record[name] = value
+        with pytest.raises(LogSchemaError) as exc:
+            parse(json.dumps(record))
+        assert (exc.value.field, exc.value.line_no) == (name, 1)
+        assert str(exc.value) == f"line 1: field '{name}': must be a string"
+
+    @pytest.mark.parametrize("bad,missing", [
+        ("id", "an"), ("an", "ae"), ("ae", "ts"), ("ts", "ch")])
+    def test_first_fault_in_field_order_is_reported(self, bad, missing):
+        record = {"id": "a1", "an": "A", "ae": "a@x", "ts": 1, "ch": []}
+        record[bad] = "1" if bad == "ts" else 1
+        del record[missing]
+        with pytest.raises(LogSchemaError) as exc:
+            parse('{"id":"a0","an":"A","ae":"a@x","ts":1,"ch":[]}\n' + json.dumps(record))
+        assert (exc.value.field, exc.value.line_no) == (bad, 2)
+
+    @pytest.mark.parametrize("override", OVERRIDES, ids=[
+        f"{name}={'missing' if value is MISSING else json.dumps(value)}"
+        for name, value in OVERRIDES])
+    def test_one_field_override_equals_reference_parser(self, override):
+        lines = [json.dumps(record_with([["A", "f.c"]], [override]))]
+        assert outcome(plain_parse, lines) == outcome(reference_parse, lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(LINES, max_size=4))
+    def test_equals_reference_parser(self, lines):
+        lines = [line + "\n" for line in lines]
+        assert outcome(plain_parse, lines) == outcome(reference_parse, lines)
+
+    @settings(max_examples=500, deadline=None)
+    @given(PATH_TEXT | st.text(max_size=6) | st.sampled_from(EDGE_PATHS))
+    def test_path_checks_equal_normpath_then_checks(self, path):
+        if _is_plain(path):  # the parser then skips normpath
+            assert posixpath.normpath(path) == path
+        for entry in (["M", path], ["R", path, "a"], ["R", "a", path]):
+            lines = [json.dumps({"id": "a", "an": "A", "ae": "a@x", "ts": 1, "ch": [entry]})]
+            assert outcome(plain_parse, lines) == outcome(reference_parse, lines)
+
+    def test_one_identity_object_per_raw_identity(self):
+        (first, second, other) = parse("\n".join(
+            json.dumps({"id": f"c{i}", "an": name, "ae": "a@x", "ts": 1, "ch": []})
+            for i, name in enumerate(["A", "A", "B"])))
+        assert first.author is second.author
+        assert other.author == first.author and other.author.name == "B"
+
     def test_timestamp_regression_warns_once(self, caplog):
         lines = "\n".join(
             json.dumps({"id": f"c{i}", "an": "A", "ae": "a@x", "ts": ts,
@@ -115,6 +286,20 @@ class TestParseCommitLog:
             records = parse(lines)
         assert len(records) == 3  # skew tolerated, nothing dropped
         assert sum("earlier than" in r.message for r in caplog.records) == 1
+
+
+class TestFileChange:
+    @pytest.mark.parametrize("kind,old_path", [
+        (ChangeKind.RENAME, None), (ChangeKind.ADD, "b"), (ChangeKind.MODIFY, "b"),
+        (ChangeKind.DELETE, "b")])
+    def test_old_path_exactly_for_renames(self, kind, old_path):
+        with pytest.raises(ValueError, match="old_path must be present exactly for renames"):
+            FileChange(kind, "a", old_path)
+
+    def test_fields(self):
+        change = FileChange(ChangeKind.RENAME, "b", "a")
+        assert (change.kind, change.path, change.old_path) == (ChangeKind.RENAME, "b", "a")
+        assert FileChange(ChangeKind.ADD, "a").old_path is None
 
 
 class TestResolveAliases:
@@ -202,6 +387,21 @@ class TestApplyPathFilters:
         rec = make_record("c1", dev(0), 1, [("A", "docs/a.bin"), ("A", "docs/a.txt")])
         (out,) = apply_path_filters([rec], ["*.bin"])
         assert [c.path for c in out.changes] == ["docs/a.txt"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(alphabet="ab+(.)/", min_size=1, max_size=5).map(lambda p: p + "/"),
+        st.text(alphabet="ab+(.)", min_size=1, max_size=5),
+        st.text(alphabet="ab+(.)/*?[]!", min_size=1, max_size=6)), max_size=4),
+        st.lists(st.text(alphabet="ab+(.)/*?[]\n", max_size=8), max_size=6))
+    def test_compiled_matcher_equals_its_rules(self, patterns, paths):
+        try:
+            matcher = PathMatcher(patterns)
+        except ConfigError:
+            assume(False)
+        for path in paths:
+            assert bool(matcher.match(path)) == \
+                any(rule.matches(path) for rule in matcher.rules)
 
     def test_invalid_pattern_is_config_error(self):
         with pytest.raises(ConfigError):
