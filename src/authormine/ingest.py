@@ -75,6 +75,11 @@ class FileChange(_FileChangeFields):
             raise ValueError("old_path must be present exactly for renames")
         return super().__new__(cls, kind, path, old_path)
 
+    @classmethod
+    def _make(cls, iterable):
+        # the base's _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
+
 
 class CommitRecord(NamedTuple):
     commit_id: str
@@ -94,9 +99,7 @@ class ReleaseTag:
 AliasMap = Mapping[tuple[str, str], DeveloperId]
 
 _KIND_BY_CODE = {k.value: k for k in ChangeKind}
-# the kinds of a two-element entry, which the parser builds without a check
-_PLAIN_KIND_BY_CODE = {code: k for code, k in _KIND_BY_CODE.items()
-                       if k is not ChangeKind.RENAME}
+_MISSING = object()
 
 
 def _is_plain(path: str) -> bool:
@@ -120,10 +123,12 @@ def _normalize_path(raw: object, line_no: int) -> str:
     return path
 
 
-def _require(obj: dict, field: str, line_no: int) -> object:
-    if field not in obj:
-        raise LogSchemaError("missing required field", line_no, field)
-    return obj[field]
+def _field_error(value: object, field: str, message: str, line_no: int,
+                 ) -> LogSchemaError:
+    """The error for a record field that failed its type check."""
+    if value is _MISSING:
+        return LogSchemaError("missing required field", line_no, field)
+    return LogSchemaError(message, line_no, field)
 
 
 def _parse_change(entry: object, line_no: int) -> FileChange:
@@ -143,29 +148,6 @@ def _parse_change(entry: object, line_no: int) -> FileChange:
     return FileChange(kind, _normalize_path(entry[1], line_no))
 
 
-def _checked_fields(obj: dict, line_no: int) -> tuple[str, str, str, int, list]:
-    """The record's five fields, checked in order: the first fault is the one raised."""
-    commit_id = _require(obj, "id", line_no)
-    if not isinstance(commit_id, str) or not commit_id:
-        raise LogSchemaError("must be a non-empty string", line_no, "id")
-    name = _require(obj, "an", line_no)
-    if not isinstance(name, str):
-        raise LogSchemaError("must be a string", line_no, "an")
-    email = _require(obj, "ae", line_no)
-    if not isinstance(email, str):
-        raise LogSchemaError("must be a string", line_no, "ae")
-    # see _normalize_path; git refuses a newline in an ident
-    if "\r" in email or "\n" in email:
-        raise LogSchemaError("must not contain a line break", line_no, "ae")
-    ts = _require(obj, "ts", line_no)
-    if isinstance(ts, bool) or not isinstance(ts, int):
-        raise LogSchemaError("must be an integer", line_no, "ts")
-    ch = _require(obj, "ch", line_no)
-    if not isinstance(ch, list):
-        raise LogSchemaError("must be an array", line_no, "ch")
-    return commit_id, name, email, ts, ch
-
-
 def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable[str]],
                      ) -> Iterator[CommitRecord]:
     """Parse an NDJSON commit log into CommitRecords, in stream order.
@@ -179,9 +161,6 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
     skew_warned = False
     last_ts: int | None = None
     authors: dict[str, DeveloperId] = {}  # by raw email, under its last name
-    plain_kind = _PLAIN_KIND_BY_CODE.get
-    new_tuple = tuple.__new__
-    scan = json.JSONDecoder().scan_once
     for line_no, raw in enumerate(stream, 1):
         if isinstance(raw, bytes):
             try:
@@ -190,33 +169,36 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
                 raise LogParseError(f"invalid UTF-8: {exc}", line_no) from exc
         else:
             line = raw
-        # json.loads without its wrapper, for one value at the start of the line
-        # followed by JSON whitespace only; json.loads takes any other line
-        # and words its error
+        if not line.strip():
+            continue
         try:
-            obj, end = scan(line, 0)
-            if end != len(line) and line[end:].strip(" \t\n\r"):
-                raise ValueError("extra data")
-        except (StopIteration, ValueError):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if not line.strip():
-                    continue
-                raise LogParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogParseError(f"invalid JSON: {exc.msg}", line_no) from exc
         if not isinstance(obj, dict):
             raise LogSchemaError("record must be a JSON object", line_no, "record")
 
-        try:
-            commit_id, name, email, ts, ch = \
-                obj["id"], obj["an"], obj["ae"], obj["ts"], obj["ch"]
-            valid = (type(commit_id) is str and commit_id != "" and type(name) is str
-                     and type(email) is str and "\r" not in email and "\n" not in email
-                     and type(ts) is int and type(ch) is list)
-        except KeyError:
-            valid = False
-        if not valid:  # raises the first fault
-            commit_id, name, email, ts, ch = _checked_fields(obj, line_no)
+        # json.loads builds exact types, so a type() test is isinstance that
+        # keeps bool out of int; fields are checked in order, first fault raised
+        get = obj.get
+        commit_id = get("id", _MISSING)
+        if type(commit_id) is not str or not commit_id:
+            raise _field_error(commit_id, "id", "must be a non-empty string", line_no)
+        name = get("an", _MISSING)
+        if type(name) is not str:
+            raise _field_error(name, "an", "must be a string", line_no)
+        email = get("ae", _MISSING)
+        if type(email) is not str:
+            raise _field_error(email, "ae", "must be a string", line_no)
+        # see _normalize_path; git refuses a newline in an ident
+        if "\r" in email or "\n" in email:
+            raise LogSchemaError("must not contain a line break", line_no, "ae")
+        ts = get("ts", _MISSING)
+        if type(ts) is not int:
+            raise _field_error(ts, "ts", "must be an integer", line_no)
+        ch = get("ch", _MISSING)
+        if type(ch) is not list:
+            raise _field_error(ch, "ch", "must be an array", line_no)
 
         if last_ts is not None and ts < last_ts and not skew_warned:
             logger.warning(
@@ -226,20 +208,11 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
             skew_warned = True
         last_ts = ts
 
-        changes = []
-        for entry in ch:
-            if type(entry) is list and len(entry) == 2:
-                code, path = entry
-                kind = plain_kind(code) if type(code) is str else None
-                if kind is not None and type(path) is str and _is_plain(path):
-                    # never a rename, so FileChange's check would always pass
-                    changes.append(new_tuple(FileChange, (kind, path, None)))
-                    continue
-            changes.append(_parse_change(entry, line_no))
+        changes = tuple([_parse_change(entry, line_no) for entry in ch])
         author = authors.get(email)
         if author is None or author.name != name:
             author = authors[email] = DeveloperId(name, email)
-        yield CommitRecord(commit_id, author, ts, tuple(changes))
+        yield CommitRecord(commit_id, author, ts, changes)
 
 
 def resolve_aliases(records: Iterable[CommitRecord], alias_map: AliasMap,
@@ -292,16 +265,13 @@ def apply_path_filters(records: Iterable[CommitRecord],
         return
     match = matcher.match
     for record in records:
-        for _, path, old_path in record.changes:
-            if match(path) or (old_path is not None and match(old_path)):
-                break
-        else:
+        kept = tuple([ch for ch in record.changes
+                      if not (match(ch.path)
+                              or (ch.old_path is not None and match(ch.old_path)))])
+        if len(kept) == len(record.changes):
             yield record
-            continue
-        kept = tuple(ch for ch in record.changes
-                     if not (match(ch.path)
-                             or (ch.old_path is not None and match(ch.old_path))))
-        yield CommitRecord(record.commit_id, record.author, record.timestamp, kept)
+        else:
+            yield CommitRecord(record.commit_id, record.author, record.timestamp, kept)
 
 
 _ALIAS_LINE = re.compile(

@@ -301,6 +301,14 @@ class TestFileChange:
         assert (change.kind, change.path, change.old_path) == (ChangeKind.RENAME, "b", "a")
         assert FileChange(ChangeKind.ADD, "a").old_path is None
 
+    def test_replace_and_make_check_too(self):
+        rename = FileChange(ChangeKind.RENAME, "b", "a")
+        with pytest.raises(ValueError, match="old_path must be present exactly"):
+            rename._replace(old_path=None)
+        with pytest.raises(ValueError, match="old_path must be present exactly"):
+            FileChange._make((ChangeKind.ADD, "a", "b"))
+        assert rename._replace(path="c") == FileChange(ChangeKind.RENAME, "c", "a")
+
 
 class TestResolveAliases:
     def test_lookup_hit(self):
