@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import __version__
-from .doa import DoaThresholds, score_file
+from .doa import DEFAULT_THRESHOLDS, DoaThresholds, score_file
 from .errors import AuthormineError, ConfigError
 from .ingest import (AliasMap, ReleaseTag, apply_path_filters, load_alias_map,
                      load_releases, parse_commit_log, resolve_aliases)
@@ -195,7 +195,7 @@ def cmd_analyze(config: RunConfig) -> int:
                         mirror[1] = write_json_mirror(mirror[0], header, release, groups,
                                                       mirror[1])
                     logger.info("release %s done: %d of %d live files rescored",
-                                release, state.rescored, len(snap.live))
+                                release, state.rescored, len(snap.files))
                     if freeze:
                         gc.freeze()
             for fh, opener in mirrors:
@@ -242,10 +242,10 @@ def cmd_authors(config: RunConfig, file_path: str, release_name: str) -> int:
     with _snapshot_stream(config, releases=[tag]) as snapshots:
         snap = next(snapshots)
     # ingest stores every path normalised, so `./a/b` and `a//b` name `a/b`
-    fid = snap.live.get(posixpath.normpath(file_path))
-    if fid is None:
+    counters = snap.files.get(posixpath.normpath(file_path))
+    if counters is None:
         raise AuthormineError(f"file {file_path!r} not live at {release_name}")
-    scores, _ = score_file(snap.files[fid], config.thresholds)
+    scores, _ = score_file(counters, config.thresholds)
     authors = sorted((s for s in scores if s.is_author),
                      key=lambda s: (-s.doa_norm, s.developer))
     csv.writer(sys.stdout, lineterminator="\n").writerows(
@@ -319,11 +319,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-follow-renames", dest="follow_renames",
                         action="store_false", default=True,
                         help="treat renames as delete plus fresh creation")
-    parser.add_argument("--norm-floor", type=float, default=0.75, metavar="X",
+    parser.add_argument("--norm-floor", type=float, metavar="X",
+                        default=DEFAULT_THRESHOLDS.normalized_floor,
                         help="normalized score floor, author rule is strictly above "
-                             "(default 0.75)")
-    parser.add_argument("--abs-floor", type=float, default=3.293, metavar="X",
-                        help="absolute score floor, inclusive (default 3.293)")
+                             "(default %(default)s)")
+    parser.add_argument("--abs-floor", type=float, metavar="X",
+                        default=DEFAULT_THRESHOLDS.absolute_floor,
+                        help="absolute score floor, inclusive (default %(default)s)")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

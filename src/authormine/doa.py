@@ -62,8 +62,6 @@ class DevScore(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class FileAuthorship:
-    fid: int
-    path: str
     authors: frozenset[str]
     # the frozen counters the authors were computed from
     counters: FileCounters = field(compare=False, repr=False)
@@ -105,33 +103,31 @@ def score_file(counters: FileCounters, thresholds: DoaThresholds = DEFAULT_THRES
 
 def compute_authorship(snapshot: ReleaseSnapshot,
                        thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
-                       previous: "Mapping[int, FileAuthorship] | None" = None,
+                       previous: "Mapping[str, FileAuthorship] | None" = None,
                        render: "Callable[[str, tuple[DevScore, ...]], tuple] | None" = None,
-                       ) -> dict[int, FileAuthorship]:
-    """Score every live file of a snapshot: results by file id, in path order.
+                       ) -> dict[str, FileAuthorship]:
+    """Score every live file of a snapshot: results by path, in path order.
 
-    `previous` holds results computed with the same floors, by file id.
-    One whose path is unchanged and whose counters object is the
-    snapshot's own is taken over as it is, if it has text or no `render` is
-    given: a snapshot shares the counters of every file untouched since the
-    previous release.  Every other live file is scored, with `render(path,
-    scores)` as its text.
+    `previous` holds results computed with the same floors, by path.  One
+    whose counters object is the snapshot's own is taken over as it is, if
+    it has text or no `render` is given: a snapshot shares the counters of
+    every file untouched since the previous release.  Every other live file
+    is scored, with `render(path, scores)` as its text.
     """
     previous = previous or {}
-    files: dict[int, FileAuthorship] = {}
-    for path in sorted(snapshot.live):
-        fid = snapshot.live[path]
-        counters = snapshot.files[fid]
-        fa = previous.get(fid)
-        if fa is None or fa.counters is not counters or fa.path != path \
+    files: dict[str, FileAuthorship] = {}
+    for path in sorted(snapshot.files):
+        counters = snapshot.files[path]
+        fa = previous.get(path)
+        if fa is None or fa.counters is not counters \
                 or (render is not None and fa.text is None):
             try:
                 scores, authors = score_file(counters, thresholds)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-            fa = FileAuthorship(fid, path, authors, counters,
+            fa = FileAuthorship(authors, counters,
                                 None if render is None else render(path, scores))
-        files[fid] = fa
+        files[path] = fa
     return files
 
 
@@ -142,15 +138,15 @@ class AuthorProportion:
     proportion: float
 
 
-def author_proportion(authorship: Mapping[int, FileAuthorship], fids: "list[int]",
+def author_proportion(authorship: Mapping[str, FileAuthorship], paths: "list[str]",
                       ) -> AuthorProportion:
     """Share of developers of the given live files who author at least one."""
-    if not fids:
+    if not paths:
         raise ValueError("scope contains no live files")
     developers: set[str] = set()
     authors: set[str] = set()
-    for fid in fids:
-        fa = authorship[fid]
+    for path in paths:
+        fa = authorship[path]
         developers.update(fa.counters.deliveries)
         authors.update(fa.authors)
     return AuthorProportion(len(developers), len(authors), len(authors) / len(developers))

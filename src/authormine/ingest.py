@@ -259,11 +259,10 @@ def apply_path_filters(records: Iterable[CommitRecord],
     A record left without changes is still passed on, with no changes, so
     that a release boundary on it still closes its release.
     """
-    matcher = PathMatcher(exclusion_rules)
-    if not matcher:
+    if not exclusion_rules:
         yield from records
         return
-    match = matcher.match
+    match = PathMatcher(exclusion_rules).match
     for record in records:
         kept = tuple([ch for ch in record.changes
                       if not (match(ch.path)

@@ -120,7 +120,7 @@ def authorship_renderer(with_json: bool) -> "Callable[[str, Sequence[DevScore]],
     return render
 
 
-def authorship_rows(authorship: "dict[int, FileAuthorship]") -> list[RowText]:
+def authorship_rows(authorship: "dict[str, FileAuthorship]") -> list[RowText]:
     """Each live file's authorship rows without the release column, in path
     order: the text `advance` rendered for it, under `release_report`."""
     return [fa.text for fa in authorship.values()]
@@ -181,16 +181,16 @@ def network_row(release_name: str, scope: "str | None",
 
 def advance(state: SeriesState, snapshot: ReleaseSnapshot,
             render: "Callable[[str, Sequence[DevScore]], RowText] | None" = None,
-            ) -> "tuple[dict[int, FileAuthorship], dict[str | None, list[int]]]":
+            ) -> "tuple[dict[str, FileAuthorship], dict[str | None, list[str]]]":
     """Bring `state` to `snapshot` and return its results and scope partition.
 
-    Only files whose counters or path changed since the state's last
-    snapshot are scored, rendered with `render` if given, and counted
-    again; a new state computes the release from scratch.
+    Only paths whose counters changed since the state's last snapshot are
+    scored and rendered with `render` if given, and counted again if their
+    author set changed; a new state computes the release from scratch.
     """
     authorship = compute_authorship(snapshot, state.thresholds, state.authorship, render)
     partition = scope_partition(snapshot, state.rules, state.labels)
-    state.update(snapshot, authorship)
+    state.update(authorship)
     return authorship, partition
 
 
@@ -205,9 +205,9 @@ def release_report(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[R
     authorship, partition = advance(state, snapshot, authorship_renderer(state.json_bodies))
     name = snapshot.release.name
     tables = ([], [], [])  # the workload, profiles and network rows
-    for scope, fids in partition.items():
+    for scope, paths in partition.items():
         counts = state.author_counts.get(scope, {})
-        tables[0].append(workload_row(name, scope, counts, len(fids)))
+        tables[0].append(workload_row(name, scope, counts, len(paths)))
         tables[1].append(profiles_row(name, scope, counts, state.subsystem_counts))
         tables[2].append(network_row(name, scope, _graph(state, scope)))
     files = authorship_rows(authorship)
@@ -219,8 +219,8 @@ def release_workload(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list
     """The workload rows of one release and nothing else, as `stats` prints them."""
     _, partition = advance(state, snapshot)
     return [workload_row(snapshot.release.name, scope, state.author_counts.get(scope, {}),
-                         len(fids))
-            for scope, fids in partition.items()]
+                         len(paths))
+            for scope, paths in partition.items()]
 
 
 def release_graphs(snapshot: ReleaseSnapshot, state: SeriesState,

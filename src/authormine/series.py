@@ -6,21 +6,22 @@ and keeps the previous release's per-file results, so that the next
 release pays only for the files that changed since (incremental view
 maintenance over the release series):
 
-- `authorship`, the previous release's results: each live file's path,
-  the frozen counters object it was scored from, its author set and the
-  text `reports.release_report` renders as it scores: its authorship rows
+- `authorship`, the previous release's results by live path: the frozen
+  counters object each file was scored from, its author set and the text
+  `reports.release_report` renders as it scores: its authorship rows
   without the release column, with JSON bodies under `json_bodies`.
-  `compute_authorship` takes a file over while its counters object and
-  path are the same, so an unchanged file is neither scored nor formatted;
+  `compute_authorship` takes a path's result over while its counters
+  object is the same, so an unchanged file is neither scored nor
+  formatted; a moved file is new at its new path;
 - `labels`, a memo of the subsystem label of every live path, so a path
   is classified once;
 - three sets of exact integer counts, which `update` keeps current by
-  subtracting each changed or dead file's old author set and adding its
-  new one: per scope, the authored files of each author and the shared
-  files of each co-author pair; per author, the authored files in each
-  subsystem.
+  subtracting the old author set of each dead path, and of each path
+  whose author set changed, and adding its new one: per scope, the
+  authored files of each author and the shared files of each co-author
+  pair; per author, the authored files in each subsystem.
 
-Entries of files that are no longer live are dropped, so the state is
+Entries of paths that are no longer live are dropped, so the state is
 bounded by the live files and their authors.  One state serves one run
 and one thread.  Handed a snapshot of an unrelated history it stays
 correct and reuses nothing.
@@ -33,7 +34,6 @@ from typing import Hashable, Iterable
 
 from .doa import DoaThresholds, FileAuthorship
 from .network import Edge
-from .snapshot import ReleaseSnapshot
 from .subsystems import SubsystemRules
 
 
@@ -46,46 +46,35 @@ class SeriesState:
         self.rules = rules
         self.thresholds = thresholds
         self.json_bodies = json_bodies
-        self.authorship: dict[int, FileAuthorship] = {}
+        self.authorship: dict[str, FileAuthorship] = {}
         self.labels: dict[str, str] = {}
         self.author_counts: dict[str | None, dict[str, int]] = {}
         self.subsystem_counts: dict[str, dict[str, int]] = {}
         self.edge_weights: dict[str | None, dict[Edge, int]] = {}
         self.rescored = 0  # files of the last update whose results are new
 
-    def update(self, snapshot: ReleaseSnapshot,
-               authorship: "dict[int, FileAuthorship]") -> None:
+    def update(self, authorship: "dict[str, FileAuthorship]") -> None:
         """Move the state from the previous release's results to `authorship`,
-        the results for `snapshot`.  Every live path must be in `labels`."""
+        the next release's.  Every live path must be in `labels`."""
         previous = self.authorship
         rescored = 0
-        for fid, fa in authorship.items():
-            old = previous.get(fid)
+        for path, fa in authorship.items():
+            old = previous.get(path)
             if old is not fa:
                 rescored += 1
-                self._recount(old, fa, snapshot)
-        for fid in previous.keys() - authorship.keys():
-            self._recount(previous[fid], None, snapshot)
+                if old is None:
+                    self._count(path, fa, 1)
+                elif old.authors != fa.authors:
+                    self._count(path, old, -1)
+                    self._count(path, fa, 1)
+        for path in previous.keys() - authorship.keys():
+            self._count(path, previous[path], -1)
+            del self.labels[path]
         self.authorship = authorship
         self.rescored = rescored
 
-    def _recount(self, old: "FileAuthorship | None", new: "FileAuthorship | None",
-                 snapshot: ReleaseSnapshot) -> None:
-        """Replace a file's old results by its new ones in the counts; `old` is
-        None for a file new to the state, `new` None for one no longer live."""
-        if old is None:
-            self._count(new, 1)
-            return
-        if new is None or old.authors != new.authors \
-                or self.labels[old.path] != self.labels[new.path]:
-            self._count(old, -1)
-            if new is not None:
-                self._count(new, 1)
-        if old.path not in snapshot.live:
-            del self.labels[old.path]
-
-    def _count(self, fa: FileAuthorship, sign: int) -> None:
-        label = self.labels[fa.path]
+    def _count(self, path: str, fa: FileAuthorship, sign: int) -> None:
+        label = self.labels[path]
         for scope in (None, label):
             _add(self.author_counts.setdefault(scope, {}), fa.authors, sign)
         if len(fa.authors) > 1:

@@ -4,9 +4,9 @@ Every non-merge commit touching a file counts as one delivery for its
 author on that file; acceptances are derived at read time as the file's
 total commit count minus the developer's deliveries.  The creating
 commit is a delivery like any other and additionally marks first
-authorship.  Files are tracked as logical ids so that, with rename
-following enabled, counters survive file moves; with it disabled a
-rename is a delete plus a fresh creation.
+authorship.  A file is keyed by its live path, and its counters follow
+it: with rename following enabled they move with the file; with it
+disabled a rename is a delete plus a fresh creation.
 
 Accumulation is strictly sequential and keeps one state per live path:
 a move carries it along and a delete drops it, so the state follows the
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, KeysView, Mapping, Sequence
 
 from .errors import AuthormineError, BoundaryNotFoundError, ConfigError
 from .ingest import ChangeKind, CommitRecord, ReleaseTag
@@ -48,20 +48,22 @@ class FileCounters:
 class ReleaseSnapshot:
     """Immutable view of the history up to (and including) one release boundary.
 
-    `live` maps current repo paths to logical file ids; `files` maps the
-    id of each live file, and of no other, to its counters.
+    `files` maps the path of each live file, and of no other, to its counters.
     """
 
     release: ReleaseTag
-    live: Mapping[str, int]
-    files: Mapping[int, FileCounters]
+    files: Mapping[str, FileCounters]
+
+    @property
+    def live(self) -> KeysView[str]:
+        """The live paths."""
+        return self.files.keys()
 
 
 class _FileState:
-    __slots__ = ("fid", "creator", "total", "deliveries", "counters")
+    __slots__ = ("creator", "total", "deliveries", "counters")
 
-    def __init__(self, fid: int, creator: str):
-        self.fid = fid
+    def __init__(self, creator: str):
         self.creator = creator
         self.total = 0
         self.deliveries: dict[str, int] = {}
@@ -72,10 +74,9 @@ class _Accumulator:
     def __init__(self, follow_renames: bool):
         self.follow_renames = follow_renames
         self.live: dict[str, _FileState] = {}  # the one per-file table
-        self._next_fid = 0
 
     def _deliver(self, state: _FileState, dev: str, delivered: set[_FileState]) -> None:
-        # at most one delivery per (commit, logical file); states hash by identity
+        # at most one delivery per (commit, file); states hash by identity
         if state in delivered:
             return
         delivered.add(state)
@@ -84,8 +85,7 @@ class _Accumulator:
         state.counters = None
 
     def _create(self, path: str, dev: str, delivered: set[_FileState]) -> None:
-        state = _FileState(self._next_fid, creator=dev)
-        self._next_fid += 1
+        state = _FileState(creator=dev)
         self.live[path] = state
         self._deliver(state, dev, delivered)
 
@@ -116,8 +116,6 @@ class _Accumulator:
         else:
             logger.warning("commit %s deletes unknown path %s; treating as an "
                            "implicit creation (truncated history?)", commit_id, path)
-            self._create(path, dev, delivered)
-            del self.live[path]
 
     def _rename(self, commit_id: str, new_path: str, old_path: str,
                 dev: str, delivered: set[_FileState]) -> None:
@@ -155,14 +153,13 @@ class _Accumulator:
 
     def freeze(self, release: ReleaseTag) -> ReleaseSnapshot:
         """Freeze the files delivered since the last release; the rest keep theirs."""
-        live, files = {}, {}
+        files = {}
         for path, state in self.live.items():
             if state.counters is None:
                 state.counters = FileCounters(state.creator, state.total,
                                               dict(state.deliveries))
-            live[path] = state.fid
-            files[state.fid] = state.counters
-        return ReleaseSnapshot(release, live, files)
+            files[path] = state.counters
+        return ReleaseSnapshot(release, files)
 
 
 def iter_snapshots(records: Iterable[CommitRecord],

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ConfigError
-from .patterns import PathRule
+from .patterns import pattern_regex
 from .snapshot import ReleaseSnapshot
 
 SCOPE_ALL = "All"  # the name of the whole tree's scope, which no rule may take
@@ -14,9 +15,10 @@ SCOPE_ALL = "All"  # the name of the whole tree's scope, which no rule may take
 
 @dataclass(frozen=True)
 class SubsystemRules:
-    """Ordered (pattern, label) pairs; the first match wins, else `fallback`."""
+    """Ordered (pattern, label) pairs, each pattern compiled from its
+    `pattern_regex`; the first match wins, else `fallback`."""
 
-    rules: tuple[tuple[PathRule, str], ...]
+    rules: tuple[tuple[re.Pattern, str], ...]
     fallback: str
 
     def __post_init__(self):
@@ -35,15 +37,15 @@ class SubsystemRules:
         return tuple(seen)
 
     def classify(self, path: str) -> str:
-        for rule, label in self.rules:
-            if rule.matches(path):
+        for regex, label in self.rules:
+            if regex.match(path):
                 return label
         return self.fallback
 
 
 def make_rules(pairs: "list[tuple[str, str]]", fallback: str) -> SubsystemRules:
     return SubsystemRules(
-        tuple((PathRule.compile(pattern), label) for pattern, label in pairs),
+        tuple((re.compile(pattern_regex(pattern)), label) for pattern, label in pairs),
         fallback)
 
 
@@ -92,22 +94,21 @@ def default_rules() -> SubsystemRules:
 
 def scope_partition(snapshot: ReleaseSnapshot, rules: SubsystemRules,
                     labels: "dict[str, str] | None" = None,
-                    ) -> "dict[str | None, list[int]]":
-    """Live file ids per scope: key None is the whole snapshot, then one
-    key per label in rules order.  File ids are ordered by live path.
+                    ) -> "dict[str | None, list[str]]":
+    """Live paths per scope, sorted: key None is the whole snapshot, then
+    one key per label in rules order.
 
     `labels` memoizes `rules.classify` by path: a path found there is not
     classified again, and one that is not is classified and added.
     """
     labels = {} if labels is None else labels
-    partition: dict[str | None, list[int]] = {None: []}
+    partition: dict[str | None, list[str]] = {None: []}
     for label in rules.labels:
         partition[label] = []
-    for path in sorted(snapshot.live):
-        fid = snapshot.live[path]
+    for path in sorted(snapshot.files):
         label = labels.get(path)
         if label is None:
             label = labels[path] = rules.classify(path)
-        partition[None].append(fid)
-        partition[label].append(fid)
+        partition[None].append(path)
+        partition[label].append(path)
     return partition

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fnmatch
 import json
 
 from authormine import (ChangeKind, CommitRecord, CoauthorGraph, DeveloperId,
@@ -47,15 +48,15 @@ def snapshot_at(records, release: ReleaseTag, follow_renames: bool = True,
     return next(iter_snapshots(records, [release], follow_renames))
 
 
-def engine_view(snapshot: ReleaseSnapshot, authorship: "dict[int, FileAuthorship]") -> dict:
+def engine_view(snapshot: ReleaseSnapshot, authorship: "dict[str, FileAuthorship]") -> dict:
     """Engine results in the oracle's comparison shape, keyed by path/email:
     each file's counters and scores as `score_file` gives them for the
     snapshot's counters of that file, whose author set is the result's."""
     view = {}
-    for fa in authorship.values():
-        scores, authors = score_file(snapshot.files[fa.fid])
-        assert authors == fa.authors, f"author set of {fa.path} is not score_file's"
-        view[fa.path] = {
+    for path, fa in authorship.items():
+        scores, authors = score_file(snapshot.files[path])
+        assert authors == fa.authors, f"author set of {path} is not score_file's"
+        view[path] = {
             "counters": {s.developer: (s.fa, s.dl, s.ac) for s in scores},
             "doa": {s.developer: (s.doa_abs, s.doa_norm) for s in scores},
             "authors": set(fa.authors),
@@ -76,6 +77,17 @@ def assert_views_match(engine: dict, oracle: dict, tol: float = 1e-9) -> None:
         assert e["authors"] == o["authors"], f"author sets differ for {path}"
 
 
+def reference_match(pattern: str, path: str) -> bool:
+    """A path pattern's rule on its own: a prefix ending in '/' by
+    `startswith`, a bare name as the path or a directory above it, a glob
+    by `fnmatch.fnmatchcase`."""
+    if set("*?[") & set(pattern):
+        return fnmatch.fnmatchcase(path, pattern)
+    if pattern.endswith("/"):
+        return path.startswith(pattern)
+    return path == pattern or path.startswith(pattern + "/")
+
+
 def graph_from_data(vertices: list[int], edges: set) -> CoauthorGraph:
     """Build a package graph from oracle-style integer vertex data."""
     devs = {i: f"d{i:02d}@example.org" for i in vertices}
@@ -90,14 +102,13 @@ def canonical_snapshot_json(snapshot: ReleaseSnapshot) -> str:
     """Deterministic serialized form for replay-determinism checks."""
     payload = {
         "release": [snapshot.release.name, snapshot.release.boundary],
-        "live": {path: fid for path, fid in sorted(snapshot.live.items())},
         "files": {
-            str(fid): {
+            path: {
                 "creator": fc.creator,
                 "total": fc.total_commits,
                 "deliveries": dict(sorted(fc.deliveries.items())),
             }
-            for fid, fc in sorted(snapshot.files.items())
+            for path, fc in sorted(snapshot.files.items())
         },
     }
     return json.dumps(payload, sort_keys=True)

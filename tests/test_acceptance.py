@@ -184,11 +184,11 @@ def test_criterion_7_profile_partition_property():
             history = oracles.gen_history(rng)
             records = records_from_oracle(history)
             snap = snapshot_at(records, ReleaseTag("r", records[-1].commit_id))
-            if not snap.live:
+            if not snap.files:
                 continue
             state, partition = counted(snap, rules)
-            for scope, fids in partition.items():
-                if not fids:
+            for scope, paths in partition.items():
+                if not paths:
                     continue
                 result = profile_proportions(state.author_counts[scope],
                                              state.subsystem_counts)

@@ -73,7 +73,7 @@ def test_developer_identity_is_the_email_past_ingest():
     assert naming == ["__init__.py", "ingest.py"]
     # names removed from the package, which must not come back
     removed = re.compile(r"\b(?:FileDevCounters|counters_for|sort_key|DoaWeights"
-                         r"|DEFAULT_WEIGHTS|release_text)\b")
+                         r"|DEFAULT_WEIGHTS|release_text|fid|_next_fid)\b")
     stale = sorted(str(path.relative_to(ROOT)) for path in package.rglob("*")
                    if path.is_file() and path.suffix != ".pyc"
                    and removed.search(path.read_text(encoding="utf-8", errors="replace")))
@@ -82,8 +82,10 @@ def test_developer_identity_is_the_email_past_ingest():
 
 def test_results_keep_text_not_scores():
     """A file's scores are rendered as they are computed and then dropped: a
-    result keeps its text, and the series state keeps no second table of it."""
-    assert "scores" not in {f.name for f in dataclasses.fields(FileAuthorship)}
+    result keeps its author set, counters and text, keyed by the file's path
+    alone, and the series state keeps no second table of it."""
+    assert [f.name for f in dataclasses.fields(FileAuthorship)] == \
+        ["authors", "counters", "text"]
     assert not hasattr(SeriesState(default_rules(), DoaThresholds()), "tails")
 
 

@@ -117,9 +117,9 @@ class TestAnalyze:
             records = list(resolve_aliases(parse_commit_log(fh), {}))
         rows = [AUTHORSHIP_HEADER]
         for snap in iter_snapshots(records, load_releases(releases)):
-            for fa in compute_authorship(snap).values():
-                scores, _ = score_file(snap.files[fa.fid])
-                rows.extend([snap.release.name, fa.path, s.developer, str(s.fa), str(s.dl),
+            for path in compute_authorship(snap):
+                scores, _ = score_file(snap.files[path])
+                rows.extend([snap.release.name, path, s.developer, str(s.fa), str(s.dl),
                              str(s.ac), fmt_float(s.doa_abs), fmt_float(s.doa_norm),
                              str(int(s.is_author))] for s in scores)
         expected = io.StringIO()
@@ -172,13 +172,14 @@ class TestAnalyze:
 
     def test_verbose_names_rescored_files(self, tmp_path, caplog, fixture_records,
                                           fixture_releases):
-        # a live file is rescored when its path or its counters changed
-        # since the previous release
+        # a live path is rescored when its counters object changed since the
+        # previous release; a re-created file has new counters, even if equal
         expected = []
         previous = {}
         for snap in iter_snapshots(fixture_records, fixture_releases):
-            current = {fid: (path, snap.files[fid]) for path, fid in snap.live.items()}
-            changed = sum(previous.get(fid) != state for fid, state in current.items())
+            current = snap.files
+            changed = sum(previous.get(path) is not counters
+                          for path, counters in current.items())
             expected.append(f"release {snap.release.name} done: {changed} of "
                             f"{len(current)} live files rescored")
             previous = current
@@ -244,6 +245,13 @@ class TestAnalyze:
         assert code == 2
         assert capsys.readouterr().err == f"authormine: configuration error: {message}\n"
         assert not any(tmp_path.iterdir())
+
+    def test_help_names_the_default_floors(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "strictly above (default 0.75)" in text
+        assert "inclusive (default 3.293)" in text
 
     def test_malformed_log_cleans_outputs(self, tmp_path):
         bad_log = tmp_path / "bad.ndjson"

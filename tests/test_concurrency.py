@@ -27,6 +27,6 @@ def test_snapshot_unchanged_by_reads(fixture_records, fixture_releases):
     snap = snapshot_at(fixture_records, fixture_releases[-1])
     before = canonical_snapshot_json(snap)
     compute_authorship(snap)
-    for fid in snap.live.values():
-        score_file(snap.files[fid])
+    for counters in snap.files.values():
+        score_file(counters)
     assert canonical_snapshot_json(snap) == before

@@ -153,9 +153,9 @@ class TestAuthorshipMap:
         for tag in fixture_releases:
             snap = snapshot_at(fixture_records, tag)
             authorship = compute_authorship(snap)
-            assert len(authorship) == len(snap.live)
-            for fa in authorship.values():
-                scores, authors = score_file(snap.files[fa.fid])
+            assert list(authorship) == sorted(snap.files)
+            for path, fa in authorship.items():
+                scores, authors = score_file(snap.files[path])
                 assert max(s.doa_norm for s in scores) == 1.0
                 assert fa.authors == authors <= {s.developer for s in scores}
 
@@ -173,13 +173,13 @@ class TestAuthorProportion:
         recs = [make_record("c1", dev(1), 1, [("A", "f.c")])]
         snap = snapshot_at(recs, ReleaseTag("r", "c1"))
         authorship = compute_authorship(snap)
-        result = author_proportion(authorship, list(snap.live.values()))
+        result = author_proportion(authorship, list(snap.files))
         assert (result.developers, result.authors, result.proportion) == (1, 1, 1.0)
 
     def test_fixture_final_release(self, fixture_records, fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])
         authorship = compute_authorship(snap)
-        result = author_proportion(authorship, list(snap.live.values()))
+        result = author_proportion(authorship, list(snap.files))
         # grace changed live files but authors none
         assert result.developers == 7
         assert result.authors == 6

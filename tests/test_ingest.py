@@ -18,7 +18,7 @@ from authormine.patterns import PathMatcher
 import oracles
 from conftest import FIXTURE_ALIASES
 from helpers import (assert_views_match, canonical_snapshot_json, dev, engine_view,
-                     make_record, records_from_oracle, snapshot_at)
+                     make_record, records_from_oracle, reference_match, snapshot_at)
 
 
 def parse(text):
@@ -333,7 +333,7 @@ class TestResolveAliases:
         resolved = list(resolve_aliases(recs, {}))
         assert [r.author for r in resolved] == [DeveloperId("Ann", "ann@x.org")] * 2
         snap = snapshot_at(resolved, ReleaseTag("r", "c2"))
-        assert snap.files[snap.live["a.c"]] == FileCounters("ann@x.org", 2, {"ann@x.org": 2})
+        assert snap.files["a.c"] == FileCounters("ann@x.org", 2, {"ann@x.org": 2})
 
     def test_aliased_identities_unify(self):
         canonical = DeveloperId("Carol Fs", "carol@example.org")
@@ -366,7 +366,7 @@ class TestResolveAliases:
         assert any("different names" in r.message for r in caplog.records)
         # one email is one developer, whatever the name
         snap = snapshot_at(resolved, ReleaseTag("r", "c2"))
-        assert snap.files[snap.live["a.c"]] == FileCounters("b@x.org", 2, {"b@x.org": 2})
+        assert snap.files["a.c"] == FileCounters("b@x.org", 2, {"b@x.org": 2})
 
 
 class TestApplyPathFilters:
@@ -409,7 +409,7 @@ class TestApplyPathFilters:
             assume(False)
         for path in paths:
             assert bool(matcher.match(path)) == \
-                any(rule.matches(path) for rule in matcher.rules)
+                any(reference_match(pattern, path) for pattern in patterns)
 
     def test_invalid_pattern_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -420,8 +420,8 @@ class TestSnapshotAt:
     def test_single_add(self):
         recs = [make_record("c1", dev(1), 1, [("A", "f")])]
         snap = snapshot_at(recs, ReleaseTag("r", "c1"))
-        assert set(snap.live) == {"f"}
-        assert snap.files[snap.live["f"]] == FileCounters(dev(1), 1, {dev(1): 1})
+        assert set(snap.files) == {"f"}
+        assert snap.files["f"] == FileCounters(dev(1), 1, {dev(1): 1})
 
     def test_delete_releases_file(self):
         recs = [
@@ -429,7 +429,6 @@ class TestSnapshotAt:
             make_record("c2", dev(2), 2, [("D", "f")]),
         ]
         snap = snapshot_at(recs, ReleaseTag("r", "c2"))
-        assert snap.live == {}
         assert snap.files == {}
 
     def test_rename_follow_carries_counters(self):
@@ -438,8 +437,8 @@ class TestSnapshotAt:
             make_record("c2", dev(2), 2, [("R", "b", "a")]),
         ]
         snap = snapshot_at(recs, ReleaseTag("r", "c2"))
-        assert set(snap.live) == {"b"}
-        assert snap.files[snap.live["b"]] == \
+        assert set(snap.files) == {"b"}
+        assert snap.files["b"] == \
             FileCounters(dev(1), 2, {dev(1): 1, dev(2): 1})
 
     def test_rename_nofollow_resets_counters(self):
@@ -448,7 +447,7 @@ class TestSnapshotAt:
             make_record("c2", dev(2), 2, [("R", "b", "a")]),
         ]
         snap = snapshot_at(recs, ReleaseTag("r", "c2"), follow_renames=False)
-        counters = snap.files[snap.live["b"]]
+        counters = snap.files["b"]
         assert set(counters.deliveries) == {dev(2)}
         assert counters.creator == dev(2)
 
@@ -459,15 +458,27 @@ class TestSnapshotAt:
             make_record("c3", dev(3), 3, [("A", "f")]),
         ]
         snap = snapshot_at(recs, ReleaseTag("r", "c3"))
-        assert set(snap.files[snap.live["f"]].deliveries) == {dev(3)}
+        assert set(snap.files["f"].deliveries) == {dev(3)}
         assert len(snap.files) == 1  # the dead incarnation is released
+
+    def test_delete_unknown_path_warns_and_counts_nothing(self, caplog):
+        recs = [make_record("c1", dev(1), 1, [("D", "ghost.c")]),
+                make_record("c2", dev(2), 2, [("A", "ghost.c")])]
+        with caplog.at_level("WARNING"):
+            first, second = iter_snapshots(recs, [ReleaseTag("r1", "c1"),
+                                                  ReleaseTag("r2", "c2")])
+        assert [r.message for r in caplog.records] == [
+            "commit c1 deletes unknown path ghost.c; treating as an implicit "
+            "creation (truncated history?)"]
+        assert first.files == {}
+        assert second.files == {"ghost.c": FileCounters(dev(2), 1, {dev(2): 1})}
 
     def test_modify_unknown_path_warns_and_creates(self, caplog):
         recs = [make_record("c1", dev(1), 1, [("M", "ghost.c")])]
         with caplog.at_level("WARNING"):
             snap = snapshot_at(recs, ReleaseTag("r", "c1"))
-        assert set(snap.live) == {"ghost.c"}
-        assert snap.files[snap.live["ghost.c"]].creator == dev(1)
+        assert set(snap.files) == {"ghost.c"}
+        assert snap.files["ghost.c"].creator == dev(1)
         assert any("implicit creation" in r.message for r in caplog.records)
 
     def test_boundary_not_found(self):
@@ -485,7 +496,7 @@ class TestSnapshotAt:
         recs = [make_record("c1", dev(1), 1, [("A", "f")])]
         snaps = list(iter_snapshots(recs, [ReleaseTag("r1", "c1"), ReleaseTag("r2", "c1")]))
         assert [s.release.name for s in snaps] == ["r1", "r2"]
-        assert snaps[0].live == snaps[1].live
+        assert snaps[0].files == snaps[1].files
 
     def test_repeated_commit_id(self):
         # overlapping logs: c2 would be counted twice
@@ -500,7 +511,7 @@ class TestSnapshotAt:
         recs = [make_record("c1", dev(1), 1, [("A", "a"), ("A", "b")])]
         snap = snapshot_at(recs, ReleaseTag("r", "c1"))
         for path in ("a", "b"):
-            assert snap.files[snap.live[path]].deliveries[dev(1)] == 1
+            assert snap.files[path].deliveries[dev(1)] == 1
 
     def test_boundary_mid_stream(self):
         recs = [
@@ -508,7 +519,7 @@ class TestSnapshotAt:
             make_record("c2", dev(1), 2, [("A", "b")]),
         ]
         snap = snapshot_at(recs, ReleaseTag("r", "c1"))
-        assert set(snap.live) == {"a"}
+        assert set(snap.files) == {"a"}
 
 
 class TestInvariantsAndProperties:
@@ -523,10 +534,23 @@ class TestInvariantsAndProperties:
 
     def test_monotone_counters(self, fixture_records, fixture_releases):
         snaps = list(iter_snapshots(fixture_records, fixture_releases))
+        ids = [record.commit_id for record in fixture_records]
         for earlier, later in zip(snaps, snaps[1:]):
-            # a file that died in between is in `earlier` only
-            for fid in earlier.files.keys() & later.files.keys():
-                state, after = earlier.files[fid], later.files[fid]
+            # each file of `earlier` at its path in `later`, following moves;
+            # a file that died in between, deleted or moved onto, is dropped
+            where = {path: path for path in earlier.files}
+            start, end = (ids.index(s.release.boundary) + 1 for s in (earlier, later))
+            for record in fixture_records[start:end]:
+                for kind, path, old_path in record.changes:
+                    if kind is ChangeKind.DELETE:
+                        where.pop(path, None)
+                    elif kind is ChangeKind.RENAME:
+                        where.pop(path, None)
+                        if old_path in where:
+                            where[path] = where.pop(old_path)
+            assert where
+            for path, origin in where.items():
+                state, after = earlier.files[origin], later.files[path]
                 assert after.total_commits >= state.total_commits
                 for d, n in state.deliveries.items():
                     assert after.deliveries[d] >= n
@@ -539,9 +563,8 @@ class TestInvariantsAndProperties:
             snap = snapshot_at(records, ReleaseTag("r", records[-1].commit_id))
             for state in snap.files.values():
                 assert sum(state.deliveries.values()) == state.total_commits
-            for fid in snap.live.values():
-                for s in score_file(snap.files[fid])[0]:
-                    assert s.dl + s.ac == snap.files[fid].total_commits
+                for s in score_file(state)[0]:
+                    assert s.dl + s.ac == state.total_commits
 
     def test_incremental_equals_from_scratch(self, fixture_records, fixture_releases):
         incremental = list(iter_snapshots(fixture_records, fixture_releases))

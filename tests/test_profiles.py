@@ -95,11 +95,11 @@ class TestPartitionProperties:
             history = oracles.gen_history(rng)
             records = records_from_oracle(history)
             snap = snapshot_at(records, ReleaseTag("r", records[-1].commit_id))
-            if not snap.live:
+            if not snap.files:
                 continue
             _, breakdown = profiles(snap, rules)
-            for scope, fids in counted(snap, rules)[1].items():
-                if not fids:
+            for scope, paths in counted(snap, rules)[1].items():
+                if not paths:
                     continue
                 result = breakdown(scope)
                 assert result.specialists + result.generalists == result.n_authors

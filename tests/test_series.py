@@ -94,10 +94,9 @@ def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
         assert nonzero(state.edge_weights) == nonzero(fresh.edge_weights)
         assert state.subsystem_counts == fresh.subsystem_counts
         # entries of files that died are gone
-        assert set(state.labels) == set(snap.live)
-        assert set(state.authorship) == set(snap.live.values())
+        assert set(state.labels) == set(state.authorship) == set(snap.files) \
+            == set(scratch.files)
         assert all(fa.text is not None for fa in state.authorship.values())
-        assert set(snap.files) == set(snap.live.values()) == set(scratch.files)
 
 
 def test_series_rescores_only_changed_files(monkeypatch):
@@ -191,7 +190,7 @@ def held_after_last_freeze(rounds, batch=250):
             del snap
     finally:
         tracemalloc.stop()
-    assert list(snap.live) == ["keep.c"] and set(snap.files) == {snap.live["keep.c"]}
+    assert list(snap.files) == ["keep.c"]
     return held
 
 

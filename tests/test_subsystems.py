@@ -3,11 +3,12 @@
 import re
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from authormine import (ConfigError, ReleaseTag, SubsystemRules, default_rules,
                         load_rules, make_rules, scope_partition)
-from authormine.patterns import PathRule
-from helpers import dev, make_record, snapshot_at
+from authormine.patterns import pattern_regex
+from helpers import dev, make_record, reference_match, snapshot_at
 
 
 class TestClassify:
@@ -34,6 +35,22 @@ class TestClassify:
         reversed_ = make_rules([("a/b/", "Second"), ("a/", "First")], "Misc")
         assert forward.classify("a/b/x.c") == "First"
         assert reversed_.classify("a/b/x.c") == "Second"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(alphabet="ab+(.)/", min_size=1, max_size=5).map(lambda p: p + "/"),
+        st.text(alphabet="ab+(.)", min_size=1, max_size=5),
+        st.text(alphabet="ab+(.)/*?[]!", min_size=1, max_size=6)), max_size=4),
+        st.lists(st.text(alphabet="ab+(.)/*?[]\n", max_size=8), max_size=6))
+    def test_first_match_equals_reference(self, patterns, paths):
+        try:
+            rules = make_rules([(p, f"L{i}") for i, p in enumerate(patterns)], "Rest")
+        except ConfigError:
+            assume(False)
+        for path in paths:
+            expected = next((f"L{i}" for i, p in enumerate(patterns)
+                             if reference_match(p, path)), "Rest")
+            assert rules.classify(path) == expected
 
     def test_labels_order_fallback_last(self):
         rules = make_rules([("x/", "X"), ("y/", "Y"), ("z/", "X")], "Rest")
@@ -66,16 +83,15 @@ class TestScopePartition:
     def test_partition_is_exact(self, fixture_records, fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])
         partition = scope_partition(snap, default_rules())
-        all_fids = partition.pop(None)
-        assert sorted(all_fids) == sorted(snap.live.values())
-        scoped = [fid for fids in partition.values() for fid in fids]
-        assert sorted(scoped) == sorted(all_fids)  # each file in exactly one label
+        all_paths = partition.pop(None)
+        assert all_paths == sorted(snap.files)
+        scoped = [path for paths in partition.values() for path in paths]
+        assert sorted(scoped) == all_paths  # each file in exactly one label
 
     def test_order_follows_live_paths(self):
         snap = snapshot_with_paths(["b/z.c", "a/x.c"])
         partition = scope_partition(snap, make_rules([], "All-in-one"))
-        paths = {fid: path for path, fid in snap.live.items()}
-        assert [paths[fid] for fid in partition[None]] == ["a/x.c", "b/z.c"]
+        assert partition[None] == ["a/x.c", "b/z.c"]
 
 
 class TestLoadRules:
@@ -118,7 +134,8 @@ class TestLoadRules:
         message = "label 'All' is reserved for the whole tree"
         with pytest.raises(ValueError, match=message):
             make_rules(pairs, fallback)
-        compiled = tuple((PathRule.compile(pattern), label) for pattern, label in pairs)
+        compiled = tuple((re.compile(pattern_regex(pattern)), label)
+                         for pattern, label in pairs)
         with pytest.raises(ValueError, match=message):
             SubsystemRules(compiled, fallback)
 
