@@ -5,6 +5,8 @@ from __future__ import annotations
 import fnmatch
 import json
 
+from hypothesis import strategies as st
+
 from authormine import (ChangeKind, CommitRecord, CoauthorGraph, DeveloperId,
                         DoaThresholds, FileAuthorship, FileChange, ReleaseSnapshot,
                         ReleaseTag, SeriesState, build_graph, compute_authorship,
@@ -75,6 +77,15 @@ def assert_views_match(engine: dict, oracle: dict, tol: float = 1e-9) -> None:
             assert abs(abs_e - abs_o) <= tol, f"doa_abs differs for {path}/{email}"
             assert abs(norm_e - norm_o) <= tol, f"doa_norm differs for {path}/{email}"
         assert e["authors"] == o["authors"], f"author sets differ for {path}"
+
+
+# up to four patterns, each a prefix ending in '/', a bare name or a glob, over
+# characters a regex or fnmatch treats specially; and paths made of the same
+PATTERNS = st.lists(st.one_of(
+    st.text(alphabet="ab+(.)/", min_size=1, max_size=5).map(lambda p: p + "/"),
+    st.text(alphabet="ab+(.)", min_size=1, max_size=5),
+    st.text(alphabet="ab+(.)/*?[]!", min_size=1, max_size=6)), max_size=4)
+PATHS_NEAR_PATTERNS = st.lists(st.text(alphabet="ab+(.)/*?[]\n", max_size=8), max_size=6)
 
 
 def reference_match(pattern: str, path: str) -> bool:

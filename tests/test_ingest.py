@@ -17,8 +17,9 @@ from authormine.ingest import _is_plain
 from authormine.patterns import PathMatcher
 import oracles
 from conftest import FIXTURE_ALIASES
-from helpers import (assert_views_match, canonical_snapshot_json, dev, engine_view,
-                     make_record, records_from_oracle, reference_match, snapshot_at)
+from helpers import (PATHS_NEAR_PATTERNS, PATTERNS, assert_views_match,
+                     canonical_snapshot_json, dev, engine_view, make_record,
+                     records_from_oracle, reference_match, snapshot_at)
 
 
 def parse(text):
@@ -397,11 +398,7 @@ class TestApplyPathFilters:
         assert [c.path for c in out.changes] == ["docs/a.txt"]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(
-        st.text(alphabet="ab+(.)/", min_size=1, max_size=5).map(lambda p: p + "/"),
-        st.text(alphabet="ab+(.)", min_size=1, max_size=5),
-        st.text(alphabet="ab+(.)/*?[]!", min_size=1, max_size=6)), max_size=4),
-        st.lists(st.text(alphabet="ab+(.)/*?[]\n", max_size=8), max_size=6))
+    @given(PATTERNS, PATHS_NEAR_PATTERNS)
     def test_compiled_matcher_equals_its_rules(self, patterns, paths):
         try:
             matcher = PathMatcher(patterns)

@@ -3,12 +3,13 @@
 import re
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, settings
 
 from authormine import (ConfigError, ReleaseTag, SubsystemRules, default_rules,
                         load_rules, make_rules, scope_partition)
 from authormine.patterns import pattern_regex
-from helpers import dev, make_record, reference_match, snapshot_at
+from helpers import (PATHS_NEAR_PATTERNS, PATTERNS, dev, make_record, reference_match,
+                     snapshot_at)
 
 
 class TestClassify:
@@ -37,11 +38,7 @@ class TestClassify:
         assert reversed_.classify("a/b/x.c") == "Second"
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(
-        st.text(alphabet="ab+(.)/", min_size=1, max_size=5).map(lambda p: p + "/"),
-        st.text(alphabet="ab+(.)", min_size=1, max_size=5),
-        st.text(alphabet="ab+(.)/*?[]!", min_size=1, max_size=6)), max_size=4),
-        st.lists(st.text(alphabet="ab+(.)/*?[]\n", max_size=8), max_size=6))
+    @given(PATTERNS, PATHS_NEAR_PATTERNS)
     def test_first_match_equals_reference(self, patterns, paths):
         try:
             rules = make_rules([(p, f"L{i}") for i, p in enumerate(patterns)], "Rest")
