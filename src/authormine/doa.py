@@ -14,19 +14,23 @@ inequality on the normalized floor, inclusive on the absolute floor).
 
 `score_file` is the only place the rule is evaluated: it scores one
 file's frozen counters (creator, commit total, deliveries), and
-`compute_authorship` applies it to every live file of a snapshot that an
-earlier result does not already cover.  A result keeps the file's author
-set and report text, not its scores.  A developer is their canonical
-email, as the accumulator keys them; the ingest identity type does not
-reach this module.  The model's coefficients are constants; its two
-floors are parameters, which the command line sets.
+`compute_authorship` applies it to the live files of a snapshot that an
+earlier result does not already cover.  A file's scores take few
+distinct (FA, DL, AC) inputs, so `score_file` evaluates the formula
+through a bounded memo of them, which every command shares.  A result
+keeps the file's author set and report text, not its scores.  A
+developer is their canonical email, as the accumulator keys them; the
+ingest identity type does not reach this module.  The model's
+coefficients are constants; its two floors are parameters, which the
+command line sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from functools import lru_cache
+from typing import Callable, Collection, Mapping, NamedTuple
 
 from .snapshot import FileCounters, ReleaseSnapshot
 
@@ -48,6 +52,11 @@ DEFAULT_THRESHOLDS = DoaThresholds()
 
 def doa_absolute(fa: int, dl: int, ac: int) -> float:
     return 3.293 + 1.098 * fa + 0.164 * dl - 0.321 * math.log1p(ac)
+
+
+# `doa_absolute` as `score_file` evaluates it: keyed by (fa, dl, ac) alone,
+# as the floors apply to its result
+_doa_absolute = lru_cache(maxsize=1 << 14)(doa_absolute)
 
 
 class DevScore(NamedTuple):
@@ -83,21 +92,23 @@ def score_file(counters: FileCounters, thresholds: DoaThresholds = DEFAULT_THRES
     terms = []
     for dev, dl in sorted(counters.deliveries.items()):
         fa, ac = (1 if dev == creator else 0), total - dl
-        terms.append((dev, fa, dl, ac, doa_absolute(fa, dl, ac)))
-    peak = max(term[4] for term in terms)
+        terms.append((dev, fa, dl, ac, _doa_absolute(fa, dl, ac)))
+    peak = max([term[4] for term in terms])
     if peak <= 0:
         # reachable: a creator with one delivery scores below 0 once
         # ln(1 + AC) passes about 14.2
         raise ValueError("maximum absolute score is not positive; "
                          "normalization is undefined")
+    norm_floor, abs_floor = thresholds.normalized_floor, thresholds.absolute_floor
     scores = []
     authors = []
     for dev, fa, dl, ac, score in terms:
         norm = score / peak
-        is_author = norm > thresholds.normalized_floor and score >= thresholds.absolute_floor
+        is_author = norm > norm_floor and score >= abs_floor
         if is_author:
             authors.append(dev)
-        scores.append(DevScore(dev, fa, dl, ac, score, norm, is_author))
+        # as DevScore(...) builds it, without the Python-level __new__
+        scores.append(tuple.__new__(DevScore, (dev, fa, dl, ac, score, norm, is_author)))
     return tuple(scores), frozenset(authors)
 
 
@@ -105,29 +116,30 @@ def compute_authorship(snapshot: ReleaseSnapshot,
                        thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
                        previous: "Mapping[str, FileAuthorship] | None" = None,
                        render: "Callable[[str, tuple[DevScore, ...]], tuple] | None" = None,
+                       changed: "Collection[str] | None" = None,
+                       dead: Collection[str] = (),
                        ) -> dict[str, FileAuthorship]:
-    """Score every live file of a snapshot: results by path, in path order.
+    """Score the live files of a snapshot: results by path, in no set order.
 
-    `previous` holds results computed with the same floors, by path.  One
-    whose counters object is the snapshot's own is taken over as it is, if
-    it has text or no `render` is given: a snapshot shares the counters of
-    every file untouched since the previous release.  Every other live file
-    is scored, with `render(path, scores)` as its text.
+    `previous` holds results computed with the same floors, by path, for the
+    paths live at an earlier snapshot; `dead` names those no longer live
+    and `changed` (by default every live path) those to score.  The
+    results of dead paths are dropped, every other result is taken over as
+    it is, and each changed path is scored, with `render(path, scores)` as
+    its text if `render` is given.
     """
-    previous = previous or {}
-    files: dict[str, FileAuthorship] = {}
-    for path in sorted(snapshot.files):
-        counters = snapshot.files[path]
-        fa = previous.get(path)
-        if fa is None or fa.counters is not counters \
-                or (render is not None and fa.text is None):
-            try:
-                scores, authors = score_file(counters, thresholds)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-            fa = FileAuthorship(authors, counters,
-                                None if render is None else render(path, scores))
-        files[path] = fa
+    files = {} if previous is None else dict(previous)
+    for path in dead:
+        del files[path]
+    counters_of = snapshot.files
+    for path in counters_of if changed is None else changed:
+        counters = counters_of[path]
+        try:
+            scores, authors = score_file(counters, thresholds)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        files[path] = FileAuthorship(authors, counters,
+                                     None if render is None else render(path, scores))
     return files
 
 

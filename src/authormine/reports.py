@@ -89,41 +89,76 @@ def _json_template(keys: Sequence[str], numbers: int = 0) -> str:
     return (members + "\n  }").replace("%", "%%").replace("\0", "%s")
 
 
-def authorship_renderer(with_json: bool) -> "Callable[[str, Sequence[DevScore]], RowText]":
-    """A function rendering one file's scores as its authorship RowText.  The csv
-    module and `encode_basestring` quote and escape its path once and each
-    email once per renderer; a number holds only digits, '.' and '-'."""
-    line = _Lines()
-    writerow = csv.writer(line, lineterminator="\n").writerow
-    template = _json_template(AUTHORSHIP_HEADER[1:], numbers=6) if with_json else None
-    emails: dict[str, tuple[str, str]] = {}
+RENDER_MEMO_SIZE = 1 << 14  # the most entries each memo of a renderer holds
 
-    def quote(text: str) -> str:
-        writerow((text, ""))  # beside another field an empty one is not quoted
-        return line.pop()[:-2]
 
-    def render(path: str, scores: Sequence[DevScore]) -> RowText:
-        csv_path, json_path = quote(path), with_json and encode_basestring(path)
+class AuthorshipRenderer:
+    """Renders one file's scores as its authorship RowText; one serves a run.
+
+    The csv module and `encode_basestring` quote and escape a file's path
+    once, and an email, or a row's numeric tail (fa to is_author), once per
+    renderer while its memo holds it; each memo is emptied when full.  A
+    number holds only digits, '.' and '-'.
+    """
+
+    def __init__(self, with_json: bool) -> None:
+        self.with_json = with_json
+        line = _Lines()
+        writerow = csv.writer(line, lineterminator="\n").writerow
+
+        def quote(text: str) -> str:
+            writerow((text, ""))  # beside another field an empty one is not quoted
+            return line.pop()[:-2]
+
+        self.quote = quote
+        # a JSON body is the file's member, the email's, then the tail's
+        self.file_key, self.email_key = (f",\n    {encode_basestring(key)}: "
+                                         for key in AUTHORSHIP_HEADER[1:3])
+        self.tail_template = _json_template(AUTHORSHIP_HEADER[3:], numbers=6)
+        self.emails: dict[str, tuple[str, str]] = {}
+        self.tails: dict[tuple, tuple[str, str]] = {}
+
+    def __call__(self, path: str, scores: Sequence[DevScore]) -> RowText:
+        emails, tails, with_json = self.emails, self.tails, self.with_json
+        csv_path = self.quote(path)
+        json_path = with_json and self.file_key + encode_basestring(path)
         lines, bodies = [], []
-        for dev, fa, dl, ac, doa_abs, doa_norm, is_author in scores:
-            email = emails.get(dev)
+        for score in scores:
+            email = emails.get(score[0])
             if email is None:
-                email = emails[dev] = (quote(dev), with_json and encode_basestring(dev))
-            doa_abs, doa_norm = fmt_float(doa_abs), fmt_float(doa_norm)
-            flag = "1" if is_author else "0"
-            lines.append(f"{csv_path},{email[0]},{fa},{dl},{ac},{doa_abs},{doa_norm},{flag}\n")
-            if template is not None:
-                bodies.append(template % (json_path, email[1], fa, dl, ac,
-                                          doa_abs, doa_norm, flag))
+                email = self._email(score[0])
+            tail = tails.get(score[1:])
+            if tail is None:
+                tail = self._tail(score)
+            lines.append(f"{csv_path},{email[0]}{tail[0]}")
+            if with_json:
+                bodies.append(json_path + email[1] + tail[1])
         return tuple(lines), tuple(bodies)
 
-    return render
+    def _email(self, dev: str) -> tuple[str, str]:
+        if len(self.emails) >= RENDER_MEMO_SIZE:
+            self.emails.clear()
+        text = self.emails[dev] = (
+            self.quote(dev), self.with_json and self.email_key + encode_basestring(dev))
+        return text
+
+    def _tail(self, score: DevScore) -> tuple[str, str]:
+        if len(self.tails) >= RENDER_MEMO_SIZE:
+            self.tails.clear()
+        _, fa, dl, ac, doa_abs, doa_norm, is_author = score
+        numbers = (fa, dl, ac, fmt_float(doa_abs), fmt_float(doa_norm),
+                   "1" if is_author else "0")
+        text = self.tails[score[1:]] = (
+            ",%s,%s,%s,%s,%s,%s\n" % numbers,
+            self.with_json and self.tail_template % numbers)
+        return text
 
 
-def authorship_rows(authorship: "dict[str, FileAuthorship]") -> list[RowText]:
-    """Each live file's authorship rows without the release column, in path
-    order: the text `advance` rendered for it, under `release_report`."""
-    return [fa.text for fa in authorship.values()]
+def authorship_rows(authorship: "Mapping[str, FileAuthorship]",
+                    paths: Iterable[str]) -> list[RowText]:
+    """The authorship rows of the given live files without the release
+    column: the text `advance` rendered for each, under `release_report`."""
+    return [authorship[path].text for path in paths]
 
 
 def workload_row(release_name: str, scope: "str | None",
@@ -181,17 +216,21 @@ def network_row(release_name: str, scope: "str | None",
 
 def advance(state: SeriesState, snapshot: ReleaseSnapshot,
             render: "Callable[[str, Sequence[DevScore]], RowText] | None" = None,
-            ) -> "tuple[dict[str, FileAuthorship], dict[str | None, list[str]]]":
-    """Bring `state` to `snapshot` and return its results and scope partition.
+            ) -> "dict[str, FileAuthorship]":
+    """Bring `state` to `snapshot` and return its results.
 
-    Only paths whose counters changed since the state's last snapshot are
-    scored and rendered with `render` if given, and counted again if their
-    author set changed; a new state computes the release from scratch.
+    Only the state's delta to `snapshot` is visited: each changed path is
+    scored, rendered with `render` if given, and counted again if its author
+    set changed; each born path is classified, and each dead one dropped.
+    A new state computes the release from scratch.
     """
-    authorship = compute_authorship(snapshot, state.thresholds, state.authorship, render)
-    partition = scope_partition(snapshot, state.rules, state.labels)
-    state.update(authorship)
-    return authorship, partition
+    changed, dead = state.delta(snapshot, render is not None)
+    authorship = compute_authorship(snapshot, state.thresholds, state.authorship, render,
+                                    changed, dead)
+    born = scope_partition([path for path in changed if path not in state.labels],
+                           state.rules, state.labels)
+    state.update(snapshot, authorship, changed, dead, born, render is not None)
+    return authorship
 
 
 def _graph(state: SeriesState, scope: "str | None") -> CoauthorGraph:
@@ -200,34 +239,37 @@ def _graph(state: SeriesState, scope: "str | None") -> CoauthorGraph:
 
 def release_report(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[RowText]]:
     """The reports of one release as text, one RowText list per REPORTS entry:
-    each live file's authorship rows (`authorship_rows`), then one group of
-    the workload, profiles and network rows each, scopes All-first."""
-    authorship, partition = advance(state, snapshot, authorship_renderer(state.json_bodies))
+    each live file's authorship rows in path order (`authorship_rows`), then
+    one group of the workload, profiles and network rows each, scopes
+    All-first.  The state's one renderer renders every release."""
+    if state.render is None:
+        state.render = AuthorshipRenderer(state.json_bodies)
+    authorship = advance(state, snapshot, state.render)
     name = snapshot.release.name
     tables = ([], [], [])  # the workload, profiles and network rows
-    for scope, paths in partition.items():
+    for scope, n_files in state.sizes.items():
         counts = state.author_counts.get(scope, {})
-        tables[0].append(workload_row(name, scope, counts, len(paths)))
+        tables[0].append(workload_row(name, scope, counts, n_files))
         tables[1].append(profiles_row(name, scope, counts, state.subsystem_counts))
         tables[2].append(network_row(name, scope, _graph(state, scope)))
-    files = authorship_rows(authorship)
+    files = authorship_rows(authorship, state.paths)
     return [files] + [[render_rows(header, [row[1:] for row in rows], state.json_bodies)]
                       for (_, header), rows in zip(REPORTS[1:], tables)]
 
 
 def release_workload(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[str]]:
     """The workload rows of one release and nothing else, as `stats` prints them."""
-    _, partition = advance(state, snapshot)
+    advance(state, snapshot)
     return [workload_row(snapshot.release.name, scope, state.author_counts.get(scope, {}),
-                         len(paths))
-            for scope, paths in partition.items()]
+                         n_files)
+            for scope, n_files in state.sizes.items()]
 
 
 def release_graphs(snapshot: ReleaseSnapshot, state: SeriesState,
                    ) -> "dict[str | None, CoauthorGraph]":
     """The co-authorship graph of each scope of one release, All first."""
-    _, partition = advance(state, snapshot)
-    return {scope: _graph(state, scope) for scope in partition}
+    advance(state, snapshot)
+    return {scope: _graph(state, scope) for scope in state.sizes}
 
 
 def edge_rows(graph: CoauthorGraph) -> list[list[str]]:

@@ -9,10 +9,10 @@ maintenance over the release series):
 - `authorship`, the previous release's results by live path: the frozen
   counters object each file was scored from, its author set and the text
   `reports.release_report` renders as it scores: its authorship rows
-  without the release column, with JSON bodies under `json_bodies`.
-  `compute_authorship` takes a path's result over while its counters
-  object is the same, so an unchanged file is neither scored nor
-  formatted; a moved file is new at its new path;
+  without the release column, with JSON bodies under `json_bodies`;
+- `paths`, the live paths in sorted order, into which each release
+  merges its new paths, and `sizes`, the number of live files in each
+  scope;
 - `labels`, a memo of the subsystem label of every live path, so a path
   is classified once;
 - three sets of exact integer counts, which `update` keeps current by
@@ -21,6 +21,11 @@ maintenance over the release series):
   authored files of each author and the shared files of each co-author
   pair; per author, the authored files in each subsystem.
 
+A release step costs what changed since the state's last snapshot, its
+`delta`: the snapshot's own when it follows that snapshot from the same
+accumulator, else the live paths whose counters object differs from
+their result's, and the paths no longer live.  Results of the other
+paths are taken over as they are; a moved file is new at its new path.
 Entries of paths that are no longer live are dropped, so the state is
 bounded by the live files and their authors.  One state serves one run
 and one thread.  Handed a snapshot of an unrelated history it stays
@@ -30,10 +35,11 @@ correct and reuses nothing.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Hashable, Iterable
+from typing import Callable, Collection, Hashable, Iterable
 
 from .doa import DoaThresholds, FileAuthorship
 from .network import Edge
+from .snapshot import ReleaseSnapshot
 from .subsystems import SubsystemRules
 
 
@@ -46,32 +52,66 @@ class SeriesState:
         self.rules = rules
         self.thresholds = thresholds
         self.json_bodies = json_bodies
+        self.render: "Callable | None" = None  # the run's renderer, made on first use
+        self.reached: object = None  # the key of the snapshot last reached
+        self.rendered = True  # every result has text
         self.authorship: dict[str, FileAuthorship] = {}
+        self.paths: list[str] = []
+        self.sizes: dict[str | None, int] = dict.fromkeys((None,) + rules.labels, 0)
         self.labels: dict[str, str] = {}
         self.author_counts: dict[str | None, dict[str, int]] = {}
         self.subsystem_counts: dict[str, dict[str, int]] = {}
         self.edge_weights: dict[str | None, dict[Edge, int]] = {}
         self.rescored = 0  # files of the last update whose results are new
 
-    def update(self, authorship: "dict[str, FileAuthorship]") -> None:
-        """Move the state from the previous release's results to `authorship`,
-        the next release's.  Every live path must be in `labels`."""
-        previous = self.authorship
-        rescored = 0
-        for path, fa in authorship.items():
-            old = previous.get(path)
-            if old is not fa:
-                rescored += 1
-                if old is None:
-                    self._count(path, fa, 1)
-                elif old.authors != fa.authors:
-                    self._count(path, old, -1)
-                    self._count(path, fa, 1)
-        for path in previous.keys() - authorship.keys():
+    def delta(self, snapshot: ReleaseSnapshot, render: bool = False,
+              ) -> "tuple[list[str], Collection[str]]":
+        """The live paths of `snapshot` whose results are to be computed, in
+        path order, and the paths whose results die.  With `render`, results
+        without text are computed again.  Texts rendered in path order lie
+        close in memory when the release is written in that order."""
+        files, previous = snapshot.files, self.authorship
+        if render and not self.rendered:
+            changed = files
+        elif snapshot.base is not None and snapshot.base is self.reached:
+            return sorted(snapshot.changed), snapshot.dead
+        else:
+            changed = [path for path, counters in files.items()
+                       if (fa := previous.get(path)) is None or fa.counters is not counters]
+        return sorted(changed), [path for path in previous if path not in files]
+
+    def update(self, snapshot: ReleaseSnapshot, authorship: "dict[str, FileAuthorship]",
+               changed: Collection[str], dead: Collection[str],
+               born: "dict[str | None, list[str]]", rendered: bool) -> None:
+        """Move the state to `snapshot`, whose results are `authorship`: those
+        of `changed` are new, those of `dead` gone, and `born` is the scope
+        partition of the changed paths new to the state, each in `labels`;
+        `rendered` says whether the new results have text."""
+        previous, labels, sizes = self.authorship, self.labels, self.sizes
+        for scope, paths in born.items():
+            sizes[scope] += len(paths)
+        for path in dead:
             self._count(path, previous[path], -1)
-            del self.labels[path]
+            label = labels.pop(path)
+            sizes[None] -= 1
+            sizes[label] -= 1
+        for path in changed:
+            old, fa = previous.get(path), authorship[path]
+            if old is None:
+                self._count(path, fa, 1)
+            elif old.authors != fa.authors:
+                self._count(path, old, -1)
+                self._count(path, fa, 1)
+        if dead:
+            gone = set(dead)
+            self.paths = [path for path in self.paths if path not in gone]
+        if born[None]:
+            self.paths += born[None]
+            self.paths.sort()  # two sorted runs, which the sort merges in one pass
         self.authorship = authorship
-        self.rescored = rescored
+        self.reached = snapshot.key
+        self.rendered = rendered or (self.rendered and not changed)
+        self.rescored = len(changed)
 
     def _count(self, path: str, fa: FileAuthorship, sign: int) -> None:
         label = self.labels[path]

@@ -5,10 +5,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import Iterable
 
 from .errors import ConfigError
 from .patterns import pattern_regex
-from .snapshot import ReleaseSnapshot
 
 SCOPE_ALL = "All"  # the name of the whole tree's scope, which no rule may take
 
@@ -92,11 +92,12 @@ def default_rules() -> SubsystemRules:
     return _default_rules
 
 
-def scope_partition(snapshot: ReleaseSnapshot, rules: SubsystemRules,
+def scope_partition(paths: Iterable[str], rules: SubsystemRules,
                     labels: "dict[str, str] | None" = None,
                     ) -> "dict[str | None, list[str]]":
-    """Live paths per scope, sorted: key None is the whole snapshot, then
-    one key per label in rules order.
+    """The given paths per scope, sorted: key None holds them all, then one
+    key per label in rules order.  A release step passes the paths born
+    since the last release, so each path is classified once.
 
     `labels` memoizes `rules.classify` by path: a path found there is not
     classified again, and one that is not is classified and added.
@@ -105,7 +106,7 @@ def scope_partition(snapshot: ReleaseSnapshot, rules: SubsystemRules,
     partition: dict[str | None, list[str]] = {None: []}
     for label in rules.labels:
         partition[label] = []
-    for path in sorted(snapshot.files):
+    for path in sorted(paths):
         label = labels.get(path)
         if label is None:
             label = labels[path] = rules.classify(path)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from authormine import (ChangeKind, CommitRecord, CoauthorGraph, DeveloperId,
                         DoaThresholds, FileAuthorship, FileChange, ReleaseSnapshot,
                         ReleaseTag, SeriesState, build_graph, compute_authorship,
-                        default_rules, iter_snapshots, score_file)
+                        default_rules, iter_snapshots, scope_partition, score_file)
 from authormine.reports import advance
 
 
@@ -127,9 +127,14 @@ def canonical_snapshot_json(snapshot: ReleaseSnapshot) -> str:
 
 def counted(snapshot: ReleaseSnapshot, rules=None) -> tuple[SeriesState, dict]:
     """A series state brought from empty to one snapshot, whose counts are
-    then that snapshot's alone, and the snapshot's scope partition."""
-    state = SeriesState(rules or default_rules(), DoaThresholds())
-    _, partition = advance(state, snapshot)
+    then that snapshot's alone, and the snapshot's scope partition, whose
+    sizes and sorted paths the state holds."""
+    rules = rules or default_rules()
+    state = SeriesState(rules, DoaThresholds())
+    advance(state, snapshot)
+    partition = scope_partition(snapshot.files, rules)
+    assert state.sizes == {scope: len(paths) for scope, paths in partition.items()}
+    assert state.paths == partition[None]
     return state, partition
 
 

@@ -117,7 +117,7 @@ class TestAnalyze:
             records = list(resolve_aliases(parse_commit_log(fh), {}))
         rows = [AUTHORSHIP_HEADER]
         for snap in iter_snapshots(records, load_releases(releases)):
-            for path in compute_authorship(snap):
+            for path in sorted(compute_authorship(snap)):
                 scores, _ = score_file(snap.files[path])
                 rows.extend([snap.release.name, path, s.developer, str(s.fa), str(s.dl),
                              str(s.ac), fmt_float(s.doa_abs), fmt_float(s.doa_norm),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from authormine import (DoaThresholds, FileCounters, ReleaseTag,
-                        author_proportion, compute_authorship, doa_absolute, score_file)
+                        author_proportion, compute_authorship, doa, doa_absolute, score_file)
 import oracles
 from helpers import (assert_views_match, counted, dev, engine_view, make_record,
                      records_from_oracle, snapshot_at)
@@ -148,12 +148,45 @@ class TestAuthorsOf:
             DoaThresholds(absolute_floor=0.0)
 
 
+def direct_scores(counters, thresholds):
+    """One file's score rows with each developer's formula evaluated on its own."""
+    rows = []
+    for d, dl in sorted(counters.deliveries.items()):
+        fa, ac = int(d == counters.creator), counters.total_commits - dl
+        rows.append((d, fa, dl, ac, doa_absolute(fa, dl, ac)))
+    peak = max(row[4] for row in rows)
+    return [row + (row[4] / peak, row[4] / peak > thresholds.normalized_floor
+                   and row[4] >= thresholds.absolute_floor) for row in rows]
+
+
+class TestKernelMemo:
+    FLOORS = (DoaThresholds(), DoaThresholds(normalized_floor=0.9, absolute_floor=4.0))
+
+    @given(st.lists(file_counters(), min_size=1, max_size=6))
+    def test_memoised_scores_equal_direct_evaluation(self, files):
+        # each file under one floor, the other, then the first again: the
+        # memo serves the later rounds and must not carry rows across floors
+        for counters in files:
+            for thresholds in self.FLOORS + self.FLOORS[:1]:
+                scores, authors = score_file(counters, thresholds)
+                expected = direct_scores(counters, thresholds)
+                assert [tuple(s) for s in scores] == expected
+                assert authors == {row[0] for row in expected if row[6]}
+
+    def test_memo_stays_within_its_cap(self):
+        cap = doa._doa_absolute.cache_info().maxsize
+        assert cap is not None
+        for dl in range(1, cap + 100):  # (1, dl, 0): one distinct input each
+            score_file(FileCounters(dev(1), dl, {dev(1): dl}))
+        assert doa._doa_absolute.cache_info().currsize <= cap
+
+
 class TestAuthorshipMap:
     def test_every_file_has_a_full_score(self, fixture_records, fixture_releases):
         for tag in fixture_releases:
             snap = snapshot_at(fixture_records, tag)
             authorship = compute_authorship(snap)
-            assert list(authorship) == sorted(snap.files)
+            assert sorted(authorship) == sorted(snap.files)
             for path, fa in authorship.items():
                 scores, authors = score_file(snap.files[path])
                 assert max(s.doa_norm for s in scores) == 1.0

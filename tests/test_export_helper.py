@@ -84,7 +84,7 @@ def test_paths_round_trip_verbatim(tiny_repo, tmp_path, capsys):
     records = list(parse_commit_log(io.BytesIO(out)))
     assert sorted(c.path for c in records[-1].changes) == sorted(paths)
     snap = snapshot_at(records, ReleaseTag("r", records[-1].commit_id))
-    driver = scope_partition(snap, default_rules())["Driver"]
+    driver = scope_partition(snap.files, default_rules())["Driver"]
     assert driver == sorted(paths)
 
 

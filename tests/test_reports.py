@@ -8,8 +8,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from authormine import DevScore
-from authormine.reports import (AUTHORSHIP_HEADER, authorship_renderer, end_json_mirror,
+from authormine import DevScore, reports
+from authormine.reports import (AUTHORSHIP_HEADER, AuthorshipRenderer, end_json_mirror,
                                 fmt_float, render_rows, write_csv_text, write_json_mirror)
 
 HEADER = ["release", "file", "developer_email"]
@@ -78,11 +78,9 @@ SCORES = st.lists(st.builds(
     st.booleans()), min_size=1, max_size=4)
 
 
-@given(st.lists(st.tuples(TEXT, SCORES), max_size=4))
-def test_authorship_renderer_equals_csv_writer_and_json_dump(files):
-    # one renderer for every file, so an email seen before comes from its memo
-    render = authorship_renderer(with_json=True)
-    groups = [render(path, scores) for path, scores in files]
+def assert_rendered(groups, files):
+    """`groups`, the RowText of each (path, scores) of `files`, are what
+    csv.writer and json.dump make of the files' rows."""
     rows = [[path, s.developer, str(s.fa), str(s.dl), str(s.ac), fmt_float(s.doa_abs),
              fmt_float(s.doa_norm), "1" if s.is_author else "0"]
             for path, scores in files for s in scores]
@@ -92,9 +90,48 @@ def test_authorship_renderer_equals_csv_writer_and_json_dump(files):
     mirror = io.StringIO()
     end_json_mirror(mirror, write_json_mirror(mirror, AUTHORSHIP_HEADER, "v1", groups))
     assert mirror.getvalue() == reference(AUTHORSHIP_HEADER, [["v1"] + row for row in rows])
-    plain = authorship_renderer(with_json=False)
+
+
+@given(st.lists(st.tuples(TEXT, SCORES), max_size=4))
+def test_authorship_renderer_equals_csv_writer_and_json_dump(files):
+    # one renderer for every file, so an email seen before comes from its memo
+    render = AuthorshipRenderer(with_json=True)
+    groups = [render(path, scores) for path, scores in files]
+    assert_rendered(groups, files)
+    plain = AuthorshipRenderer(with_json=False)
     assert [plain(path, scores) for path, scores in files] == \
         [(lines, ()) for lines, _ in groups]
+
+
+@given(st.lists(st.tuples(TEXT, SCORES), max_size=4))
+def test_renderer_memo_hits_equal_csv_writer_and_json_dump(files):
+    # the second round renders every email and numeric tail from the memos
+    render = AuthorshipRenderer(with_json=True)
+    first = [render(path, scores) for path, scores in files]
+    again = [render(path, scores) for path, scores in files]
+    assert again == first
+    assert_rendered(again, files)
+
+
+def test_renderer_memo_keys_on_every_number():
+    # rows that differ in one number each, through one renderer
+    base = DevScore("x@y.org", 1, 2, 3, 4.5, 0.5, True)
+    files = [("a.c", [base])] + [
+        ("a.c", [base._replace(**{field: value})])
+        for field, value in (("fa", 0), ("dl", 7), ("ac", 8), ("doa_abs", 4.25),
+                             ("doa_norm", 0.25), ("is_author", False))]
+    render = AuthorshipRenderer(with_json=True)
+    assert_rendered([render(path, scores) for path, scores in files], files)
+
+
+def test_renderer_memos_stay_within_their_cap(monkeypatch):
+    monkeypatch.setattr(reports, "RENDER_MEMO_SIZE", 4)
+    render = AuthorshipRenderer(with_json=True)
+    files = [(f"f{i}.c", [DevScore(f"d{i % 7}@x.org", i % 2, i, 2 * i, i / 3, i / 8 - 1.0,
+                                   i % 3 == 0)]) for i in range(40)]
+    groups = [render(path, scores) for path, scores in files * 2]
+    assert len(render.emails) <= 4 and len(render.tails) <= 4
+    assert_rendered(groups, files * 2)
 
 
 def test_json_bodies_only_on_request():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from authormine import (DoaThresholds, ReleaseTag, SeriesState, default_rules, doa,
                         iter_snapshots)
-from authormine.reports import (REPORTS, end_json_mirror, release_report, write_csv_text,
-                                write_json_mirror)
+from authormine.reports import (REPORTS, end_json_mirror, release_report, release_workload,
+                                write_csv_text, write_json_mirror)
 import oracles
 from helpers import counted, dev, make_record, snapshot_at
 
@@ -93,10 +93,109 @@ def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
         assert nonzero(state.author_counts) == nonzero(fresh.author_counts)
         assert nonzero(state.edge_weights) == nonzero(fresh.edge_weights)
         assert state.subsystem_counts == fresh.subsystem_counts
+        assert state.sizes == fresh.sizes
+        assert state.paths == sorted(scratch.files)
         # entries of files that died are gone
         assert set(state.labels) == set(state.authorship) == set(snap.files) \
             == set(scratch.files)
         assert all(fa.text is not None for fa in state.authorship.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_out_of_sequence_snapshots_equal_rows_from_empty_state(rng, follow_renames, mixed):
+    # one state is fed the snapshots of one accumulator with releases
+    # skipped, and another with releases repeated, so a snapshot's delta
+    # does not lead from the state's last snapshot; with `mixed`, every other
+    # release goes through release_workload, which renders no text
+    records, releases = gen_series(rng)
+    snapshots = list(iter_snapshots(records, releases, follow_renames))
+    skipping = snapshots[::2] + snapshots[-1:]
+    repeating = [snap for snap in snapshots for _ in range(rng.choice((1, 2)))]
+    for sequence in (skipping, repeating):
+        state = SeriesState(RULES, THRESHOLDS, json_bodies=True)
+        for k, snap in enumerate(sequence):
+            if mixed and k % 2:
+                fresh = SeriesState(RULES, THRESHOLDS)
+                assert release_workload(snap, state) == release_workload(snap, fresh)
+            else:
+                assert written(snap, state) == written(snap)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_snapshot_delta_is_the_identity_diff(rng, follow_renames):
+    records, releases = gen_series(rng)
+    previous = None
+    for snap in iter_snapshots(records, releases, follow_renames):
+        if previous is None:
+            assert snap.base is None
+            assert sorted(snap.changed) == sorted(snap.files) and not snap.dead
+        else:
+            assert snap.base is previous.key
+            assert sorted(snap.changed) == sorted(
+                path for path, counters in snap.files.items()
+                if previous.files.get(path) is not counters)
+            assert sorted(snap.dead) == sorted(previous.files.keys() - snap.files.keys())
+        previous = snap
+
+
+def test_born_and_dead_between_releases_leaves_no_trace():
+    records = [
+        make_record("c1", dev(1), 1, [("A", "drivers/a.c"), ("A", "fs/a.c"), ("A", "README")]),
+        make_record("c2", dev(2), 2, [("A", "fs/b.c"), ("A", "net/n.c")]),
+        make_record("c3", dev(1), 3, [("D", "net/n.c"), ("D", "drivers/a.c"),
+                                      ("R", "drivers/c.c", "fs/a.c")]),
+    ]
+    first, second = iter_snapshots(records, [ReleaseTag("r1", "c1"), ReleaseTag("r2", "c3")])
+    assert sorted(second.changed) == ["drivers/c.c", "fs/b.c"]
+    assert sorted(second.dead) == ["drivers/a.c", "fs/a.c"]
+    state = SeriesState(RULES, THRESHOLDS)
+    for snap in (first, second):
+        assert release_workload(snap, state) == release_workload(snap, SeriesState(RULES,
+                                                                                   THRESHOLDS))
+    fresh, partition = counted(second)
+    assert state.sizes == fresh.sizes == {scope: len(paths)
+                                          for scope, paths in partition.items()}
+    assert state.paths == ["README", "drivers/c.c", "fs/b.c"]
+    assert set(state.labels) == set(state.authorship) == set(second.files)
+
+
+def test_paths_stay_sorted_through_many_births_and_deaths():
+    # a hundred files, then seventy die and eighty are born between those
+    # left, then a few of each: the state's sorted paths take many changes
+    # at once, and few
+    first = [f"drivers/f{i:03d}.c" for i in range(0, 200, 2)]
+    born = [f"drivers/f{i:03d}.c" for i in range(41, 200, 2)]
+    records = [
+        make_record("c1", dev(1), 1, [("A", p) for p in first]),
+        make_record("c2", dev(2), 2, [("D", p) for p in first[:70]] + [("A", p) for p in born]),
+        make_record("c3", dev(1), 3, [("D", p) for p in born[::30]] + [("A", "a.c"),
+                                                                       ("A", "net/z.c")]),
+    ]
+    releases = [ReleaseTag(f"r{k}", f"c{k}") for k in (1, 2, 3)]
+    state = SeriesState(RULES, THRESHOLDS)
+    for snap in iter_snapshots(records, releases):
+        assert release_workload(snap, state) == release_workload(snap, SeriesState(RULES,
+                                                                                   THRESHOLDS))
+        fresh, _ = counted(snap)
+        assert state.paths == sorted(snap.files)
+        assert state.sizes == fresh.sizes
+
+
+def test_report_after_workload_renders_unchanged_files():
+    # the first release is counted without text; the second changes one of
+    # three files, and the report must still hold the rows of all three
+    records = [make_record("c1", dev(1), 1, [("A", "drivers/a.c"), ("A", "fs/b.c"),
+                                             ("A", "net/c.c")]),
+               make_record("c2", dev(2), 2, [("M", "fs/b.c")])]
+    first, second = iter_snapshots(records, [ReleaseTag("r1", "c1"), ReleaseTag("r2", "c2")])
+    state = SeriesState(RULES, THRESHOLDS, json_bodies=True)
+    release_workload(first, state)
+    assert all(fa.text is None for fa in state.authorship.values())
+    assert written(second, state) == written(second)
+    assert sorted(state.authorship) == sorted(second.files)
+    assert all(fa.text is not None for fa in state.authorship.values())
 
 
 def test_series_rescores_only_changed_files(monkeypatch):

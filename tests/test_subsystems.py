@@ -66,20 +66,20 @@ class TestSubsystemSizes:
     def test_even_split(self):
         snap = snapshot_with_paths(
             ["drivers/a.c", "drivers/b.c", "fs/a.c", "fs/b.c"])
-        partition = scope_partition(snap, default_rules())
+        partition = scope_partition(snap.files, default_rules())
         assert len(partition["Driver"]) == len(partition["Fs"]) == 2
         assert partition["Core"] == []
 
     def test_all_misc(self):
         snap = snapshot_with_paths(["README", "COPYING"])
-        partition = scope_partition(snap, default_rules())
+        partition = scope_partition(snap.files, default_rules())
         assert len(partition["Misc"]) == len(partition[None]) == 2
 
 
 class TestScopePartition:
     def test_partition_is_exact(self, fixture_records, fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])
-        partition = scope_partition(snap, default_rules())
+        partition = scope_partition(snap.files, default_rules())
         all_paths = partition.pop(None)
         assert all_paths == sorted(snap.files)
         scoped = [path for paths in partition.values() for path in paths]
@@ -87,7 +87,7 @@ class TestScopePartition:
 
     def test_order_follows_live_paths(self):
         snap = snapshot_with_paths(["b/z.c", "a/x.c"])
-        partition = scope_partition(snap, make_rules([], "All-in-one"))
+        partition = scope_partition(snap.files, make_rules([], "All-in-one"))
         assert partition[None] == ["a/x.c", "b/z.c"]
 
 
