@@ -219,9 +219,9 @@ def advance(state: SeriesState, snapshot: ReleaseSnapshot,
             ) -> "dict[str, FileAuthorship]":
     """Bring `state` to `snapshot` and return its results.
 
-    Only the state's delta to `snapshot` is visited: each changed path is
-    scored, rendered with `render` if given, and counted again if its author
-    set changed; each born path is classified, and each dead one dropped.
+    Past `SeriesState.delta`, only the delta is visited: each changed path
+    is scored, rendered with `render` if given, and counted again if its
+    author set changed; each born path is classified, each dead one dropped.
     A new state computes the release from scratch.
     """
     changed, dead = state.delta(snapshot, render is not None)
@@ -229,7 +229,7 @@ def advance(state: SeriesState, snapshot: ReleaseSnapshot,
                                     changed, dead)
     born = scope_partition([path for path in changed if path not in state.labels],
                            state.rules, state.labels)
-    state.update(snapshot, authorship, changed, dead, born, render is not None)
+    state.update(authorship, changed, dead, born, render is not None)
     return authorship
 
 

@@ -21,15 +21,17 @@ maintenance over the release series):
   authored files of each author and the shared files of each co-author
   pair; per author, the authored files in each subsystem.
 
-A release step costs what changed since the state's last snapshot, its
-`delta`: the snapshot's own when it follows that snapshot from the same
-accumulator, else the live paths whose counters object differs from
-their result's, and the paths no longer live.  Results of the other
-paths are taken over as they are; a moved file is new at its new path.
-Entries of paths that are no longer live are dropped, so the state is
-bounded by the live files and their authors.  One state serves one run
-and one thread.  Handed a snapshot of an unrelated history it stays
-correct and reuses nothing.
+A release step scores, classifies and counts what changed since the
+state's last snapshot, its `delta`: the live paths whose counters object
+differs from their result's, and the paths no longer live.  The
+accumulator hands a file untouched since a release the same counters
+object again, so one walk of the live paths that compares identities
+finds the delta of any snapshot, in or out of sequence.  Results of
+the other paths are taken over as they are; a moved file is new at its
+new path.  Entries of paths no longer live are dropped, so the state is
+bounded by the live files and their authors.
+One state serves one run and one thread.  Handed a snapshot of an
+unrelated history it stays correct and reuses nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class SeriesState:
         self.thresholds = thresholds
         self.json_bodies = json_bodies
         self.render: "Callable | None" = None  # the run's renderer, made on first use
-        self.reached: object = None  # the key of the snapshot last reached
         self.rendered = True  # every result has text
         self.authorship: dict[str, FileAuthorship] = {}
         self.paths: list[str] = []
@@ -65,25 +66,25 @@ class SeriesState:
         self.rescored = 0  # files of the last update whose results are new
 
     def delta(self, snapshot: ReleaseSnapshot, render: bool = False,
-              ) -> "tuple[list[str], Collection[str]]":
+              ) -> "tuple[list[str], list[str]]":
         """The live paths of `snapshot` whose results are to be computed, in
-        path order, and the paths whose results die.  With `render`, results
-        without text are computed again.  Texts rendered in path order lie
-        close in memory when the release is written in that order."""
+        path order: those whose counters object is not the one their result
+        was computed from; and the paths whose results die, those no longer
+        live.  With `render`, results without text are computed again.  Texts
+        rendered in path order lie close in memory when the release is
+        written in that order."""
         files, previous = snapshot.files, self.authorship
         if render and not self.rendered:
             changed = files
-        elif snapshot.base is not None and snapshot.base is self.reached:
-            return sorted(snapshot.changed), snapshot.dead
         else:
             changed = [path for path, counters in files.items()
                        if (fa := previous.get(path)) is None or fa.counters is not counters]
         return sorted(changed), [path for path in previous if path not in files]
 
-    def update(self, snapshot: ReleaseSnapshot, authorship: "dict[str, FileAuthorship]",
+    def update(self, authorship: "dict[str, FileAuthorship]",
                changed: Collection[str], dead: Collection[str],
                born: "dict[str | None, list[str]]", rendered: bool) -> None:
-        """Move the state to `snapshot`, whose results are `authorship`: those
+        """Move the state to the release whose results are `authorship`: those
         of `changed` are new, those of `dead` gone, and `born` is the scope
         partition of the changed paths new to the state, each in `labels`;
         `rendered` says whether the new results have text."""
@@ -109,7 +110,6 @@ class SeriesState:
             self.paths += born[None]
             self.paths.sort()  # two sorted runs, which the sort merges in one pass
         self.authorship = authorship
-        self.reached = snapshot.key
         self.rendered = rendered or (self.rendered and not changed)
         self.rescored = len(changed)
 

@@ -15,17 +15,8 @@ boundaries are frozen, safe to share across threads and feed to any
 number of concurrent downstream analytics.  A snapshot shares the frozen
 counters of every file untouched since the previous release with that
 release's snapshot, so a file's counters object changes exactly when
-its counters or its life (creation, deletion, move) do.
-
-From its first freeze on, the accumulator notes each path a change
-touches, and forgets a path born and dead between two freezes, so its
-notes hold only live paths and those of the last snapshot.  A later
-freeze then costs what changed: it builds counters for the touched
-paths alone and copies the last snapshot's table with the release's
-delta applied.  Each snapshot carries that delta, its `changed` and
-`dead` paths, and the `key` of the snapshot before it as its `base`,
-which lets a `SeriesState` that reached that snapshot take the delta
-as it is.
+its counters or its life (creation, deletion, move) do.  A
+`SeriesState` finds a release's delta by that identity alone.
 
 A developer is their canonical email, a plain `str`: the accumulator
 reads it once off each record's author, whose identity type goes no
@@ -35,8 +26,8 @@ further than `ingest`, and keys every counter by it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, KeysView, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, KeysView, Mapping, Sequence
 
 from .errors import AuthormineError, BoundaryNotFoundError, ConfigError
 from .ingest import ChangeKind, CommitRecord, ReleaseTag
@@ -59,17 +50,10 @@ class ReleaseSnapshot:
     """Immutable view of the history up to (and including) one release boundary.
 
     `files` maps the path of each live file, and of no other, to its counters.
-    `changed` holds the live paths whose counters object is new since the
-    snapshot whose `key` is `base`, and `dead` the paths live there and not
-    here; a first snapshot has no `base`, and every live path is changed.
     """
 
     release: ReleaseTag
     files: Mapping[str, FileCounters]
-    changed: Collection[str] = field(default=(), compare=False, repr=False)
-    dead: Collection[str] = field(default=(), compare=False, repr=False)
-    base: "object | None" = field(default=None, compare=False, repr=False)
-    key: object = field(default_factory=object, compare=False, repr=False)
 
     @property
     def live(self) -> KeysView[str]:
@@ -91,16 +75,8 @@ class _Accumulator:
     def __init__(self, follow_renames: bool):
         self.follow_renames = follow_renames
         self.live: dict[str, _FileState] = {}  # the one per-file table
-        self.last: ReleaseSnapshot | None = None  # the last snapshot frozen
-        # from the first freeze on, the paths touched since the last one; a
-        # dict, so that a snapshot lists its delta in the order of the history
-        self.touched: dict[str, None] | None = None
 
-    def _deliver(self, state: _FileState, path: "str | None", dev: str,
-                 delivered: set[_FileState]) -> None:
-        """Count a delivery to the state now live at `path`, or dead if None."""
-        if path is not None and self.touched is not None:
-            self.touched[path] = None
+    def _deliver(self, state: _FileState, dev: str, delivered: set[_FileState]) -> None:
         # at most one delivery per (commit, file); states hash by identity
         if state in delivered:
             return
@@ -109,28 +85,17 @@ class _Accumulator:
         state.deliveries[dev] = state.deliveries.get(dev, 0) + 1
         state.counters = None
 
-    def _pop(self, path: str) -> "_FileState | None":
-        """Drop a live path's state, if any; a path born since the last
-        snapshot leaves no note."""
-        state = self.live.pop(path, None)
-        if state is not None and self.touched is not None:
-            if path in self.last.files:
-                self.touched[path] = None
-            else:
-                del self.touched[path]
-        return state
-
     def _create(self, path: str, dev: str, delivered: set[_FileState]) -> None:
         state = _FileState(creator=dev)
         self.live[path] = state
-        self._deliver(state, path, dev, delivered)
+        self._deliver(state, dev, delivered)
 
     def _add(self, commit_id: str, path: str, dev: str, delivered: set[_FileState]) -> None:
         state = self.live.get(path)
         if state is not None:
             logger.warning("commit %s adds already-live path %s; treating as a change",
                            commit_id, path)
-            self._deliver(state, path, dev, delivered)
+            self._deliver(state, dev, delivered)
         else:
             self._create(path, dev, delivered)
 
@@ -138,7 +103,7 @@ class _Accumulator:
                 delivered: set[_FileState]) -> None:
         state = self.live.get(path)
         if state is not None:
-            self._deliver(state, path, dev, delivered)
+            self._deliver(state, dev, delivered)
         else:
             logger.warning("commit %s changes unknown path %s; treating as an "
                            "implicit creation (truncated history?)", commit_id, path)
@@ -146,9 +111,9 @@ class _Accumulator:
 
     def _delete(self, commit_id: str, path: str, dev: str,
                 delivered: set[_FileState]) -> None:
-        state = self._pop(path)
+        state = self.live.pop(path, None)
         if state is not None:
-            self._deliver(state, None, dev, delivered)
+            self._deliver(state, dev, delivered)
         else:
             logger.warning("commit %s deletes unknown path %s; treating as an "
                            "implicit creation (truncated history?)", commit_id, path)
@@ -159,7 +124,7 @@ class _Accumulator:
             self._delete(commit_id, old_path, dev, delivered)
             self._add(commit_id, new_path, dev, delivered)
             return
-        state = self._pop(old_path)
+        state = self.live.pop(old_path, None)
         if state is None:
             logger.warning("commit %s renames unknown path %s; treating as an "
                            "implicit creation at %s", commit_id, old_path, new_path)
@@ -169,7 +134,7 @@ class _Accumulator:
             logger.warning("commit %s renames %s onto live path %s; the previous "
                            "file becomes dead", commit_id, old_path, new_path)
         self.live[new_path] = state
-        self._deliver(state, new_path, dev, delivered)
+        self._deliver(state, dev, delivered)
 
     def feed(self, record: CommitRecord) -> None:
         if not record.changes:  # empty, merge or fully excluded; only the id matters
@@ -189,26 +154,14 @@ class _Accumulator:
 
     def freeze(self, release: ReleaseTag) -> ReleaseSnapshot:
         """Freeze the files delivered since the last release; the rest keep
-        theirs.  Only the first freeze visits every live path."""
-        last = self.last
-        files = {} if last is None else dict(last.files)
-        changed, dead = [], []
-        for path in self.live if last is None else self.touched:
-            state = self.live.get(path)
-            if state is None:
-                del files[path]
-                dead.append(path)
-                continue
+        their counters object."""
+        files = {}
+        for path, state in self.live.items():
             if state.counters is None:
                 state.counters = FileCounters(state.creator, state.total,
                                               dict(state.deliveries))
-            if files.get(path) is not state.counters:
-                files[path] = state.counters
-                changed.append(path)
-        self.touched = {}
-        self.last = ReleaseSnapshot(release, files, changed, dead,
-                                    None if last is None else last.key)
-        return self.last
+            files[path] = state.counters
+        return ReleaseSnapshot(release, files)
 
 
 def iter_snapshots(records: Iterable[CommitRecord],

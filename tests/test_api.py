@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 import authormine
-from authormine import (DoaThresholds, FileAuthorship, SeriesState, default_rules,
-                        load_releases)
+from authormine import (DoaThresholds, FileAuthorship, ReleaseSnapshot, SeriesState,
+                        default_rules, load_releases)
 from conftest import FIXTURE_LOG, FIXTURE_RELEASES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,6 +87,14 @@ def test_results_keep_text_not_scores():
     assert [f.name for f in dataclasses.fields(FileAuthorship)] == \
         ["authors", "counters", "text"]
     assert not hasattr(SeriesState(default_rules(), DoaThresholds()), "tails")
+
+
+def test_one_change_detector():
+    """A release's delta is found by counters identity alone: a snapshot
+    carries no delta of its own, and the series state no record of which
+    snapshot it reached."""
+    assert [f.name for f in dataclasses.fields(ReleaseSnapshot)] == ["release", "files"]
+    assert not hasattr(SeriesState(default_rules(), DoaThresholds()), "reached")
 
 
 def test_cli_imports_no_array_library():
