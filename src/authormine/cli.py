@@ -13,7 +13,6 @@ import re
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterator
@@ -42,22 +41,27 @@ EXIT_CONFIG = 2
 OUTPUT_DIR_ENV = "AUTHORMINE_OUTPUT_DIR"
 
 
-@dataclass
 class RunConfig:
-    log_paths: list[Path]
-    releases_path: Path
-    alias_map_path: "Path | None" = None
-    rules_path: "Path | None" = None
-    exclusions: list[str] = field(default_factory=list)
-    follow_renames: bool = True
-    thresholds: DoaThresholds = field(default_factory=DoaThresholds)
-    output_dir: Path = Path("authormine-out")
-    json_mirror: bool = False
-
-    # populated by validate()
-    releases: list[ReleaseTag] = field(default_factory=list)
-    alias_map: AliasMap = field(default_factory=dict)
-    rules: "SubsystemRules | None" = None
+    def __init__(self, log_paths: list[Path], releases_path: Path,
+                 alias_map_path: "Path | None" = None, rules_path: "Path | None" = None,
+                 exclusions: "list[str] | None" = None, follow_renames: bool = True,
+                 thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
+                 output_dir: Path = Path("authormine-out"), json_mirror: bool = False,
+                 releases: "list[ReleaseTag] | None" = None,
+                 alias_map: "AliasMap | None" = None, rules: "SubsystemRules | None" = None):
+        self.log_paths = log_paths
+        self.releases_path = releases_path
+        self.alias_map_path = alias_map_path
+        self.rules_path = rules_path
+        self.exclusions = [] if exclusions is None else exclusions
+        self.follow_renames = follow_renames
+        self.thresholds = thresholds
+        self.output_dir = output_dir
+        self.json_mirror = json_mirror
+        # populated by validate()
+        self.releases = [] if releases is None else releases
+        self.alias_map = {} if alias_map is None else alias_map
+        self.rules = rules
 
     def validate(self) -> None:
         """Fail fast: every referenced file must exist and parse."""

@@ -28,23 +28,28 @@ command line sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Collection, Mapping, NamedTuple
 
 from .snapshot import FileCounters, ReleaseSnapshot
 
 
-@dataclass(frozen=True, slots=True)
-class DoaThresholds:
-    normalized_floor: float = 0.75
-    absolute_floor: float = 3.293
+class _DoaThresholdsFields(NamedTuple):
+    normalized_floor: float
+    absolute_floor: float
 
-    def __post_init__(self):
-        if not 0 < self.normalized_floor <= 1:
+
+class DoaThresholds(_DoaThresholdsFields):
+    __slots__ = ()
+
+    def __new__(cls, normalized_floor: float = 0.75, absolute_floor: float = 3.293):
+        if not 0 < normalized_floor <= 1:
             raise ValueError("normalized_floor must be in (0, 1]")
-        if not (math.isfinite(self.absolute_floor) and self.absolute_floor > 0):
+        if not (math.isfinite(absolute_floor) and absolute_floor > 0):
             raise ValueError("absolute_floor must be finite and positive")
+        return super().__new__(cls, normalized_floor, absolute_floor)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks
 
 
 DEFAULT_THRESHOLDS = DoaThresholds()
@@ -69,13 +74,22 @@ class DevScore(NamedTuple):
     is_author: bool
 
 
-@dataclass(frozen=True, slots=True)
 class FileAuthorship:
-    authors: frozenset[str]
-    # the frozen counters the authors were computed from
-    counters: FileCounters = field(compare=False, repr=False)
-    # the file's authorship rows as `reports.RowText`; None unless rendered
-    text: "tuple | None" = field(default=None, compare=False, repr=False)
+    """A file's authors, the frozen counters they come from and its rows as
+    `reports.RowText`, None unless rendered.  Equal when the authors are."""
+
+    __slots__ = ("authors", "counters", "text")
+
+    def __init__(self, authors: frozenset[str], counters: FileCounters,
+                 text: "tuple | None" = None):
+        self.authors, self.counters, self.text = authors, counters, text
+
+    def __eq__(self, other):
+        return self.authors == other.authors if type(other) is FileAuthorship \
+            else NotImplemented
+
+    def __hash__(self):
+        return hash(self.authors)
 
 
 def score_file(counters: FileCounters, thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
@@ -143,8 +157,7 @@ def compute_authorship(snapshot: ReleaseSnapshot,
     return files
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorProportion:
+class AuthorProportion(NamedTuple):
     developers: int
     authors: int
     proportion: float

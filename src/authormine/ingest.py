@@ -14,13 +14,13 @@ here, at ingest: `resolve_aliases` trims and lowercases emails and merges
 different ones through the alias map, and from the accumulator on a
 developer is their canonical email, a plain `str`.
 
-Records and changes are named tuples, built once per commit and per
-change.  Each stage is a generator holding one record at a time.  The
-parser's shared identities (one per raw email) and the alias resolver's
-memo (one per raw name and email) are bounded by the distinct raw
-identities, not by commits.  The one structure that grows with the
-commits is the set of commit ids that `snapshot.iter_snapshots` keeps
-to catch overlapping logs.
+Records, changes and release tags are named tuples, the first two built
+once per commit and per change.  Each stage is a generator holding one
+record at a time.  The parser's shared identities (one per raw email)
+and the alias resolver's memo (one per raw name and email) are bounded
+by the distinct raw identities, not by commits.  The one structure that
+grows with the commits is the set of commit ids that
+`snapshot.iter_snapshots` keeps to catch overlapping logs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import json
 import logging
 import posixpath
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -39,17 +38,24 @@ from .patterns import PathMatcher
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
 class DeveloperId:
     """Canonical developer identity: the email, which every output is keyed on.
 
-    Equality, hashing and ordering use the email only; the name is kept
-    for display, so one email committed under several names is one
+    Equality and hashing use the email only; the name is kept for
+    display, so one email committed under several names is one
     developer.  Merging different emails is the alias map's job.
     """
 
-    name: str = field(compare=False)
-    email: str
+    __slots__ = ("name", "email")
+
+    def __init__(self, name: str, email: str):
+        self.name, self.email = name, email
+
+    def __eq__(self, other):
+        return self.email == other.email if type(other) is DeveloperId else NotImplemented
+
+    def __hash__(self):
+        return hash(self.email)
 
 
 class ChangeKind(Enum):
@@ -88,8 +94,7 @@ class CommitRecord(NamedTuple):
     changes: tuple[FileChange, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ReleaseTag:
+class ReleaseTag(NamedTuple):
     """A named release whose history ends at (and includes) `boundary`."""
 
     name: str

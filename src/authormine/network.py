@@ -11,14 +11,12 @@ None rather than a fake zero.  Vertices are authors' canonical emails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 Edge = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class CoauthorGraph:
+class CoauthorGraph(NamedTuple):
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     weights: Mapping[Edge, int]

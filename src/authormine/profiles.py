@@ -8,14 +8,12 @@ read from counts that a release series keeps current
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Mapping
+from typing import Collection, Mapping, NamedTuple
 
 from .workload import AuthorCounts
 
 
-@dataclass(frozen=True, slots=True)
-class ProfileBreakdown:
+class ProfileBreakdown(NamedTuple):
     n_authors: int
     specialists: int
     generalists: int

@@ -9,7 +9,6 @@ for a scope are written as "NA", never as zero.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from json.encoder import encode_basestring
 from typing import IO, Callable, Collection, Iterable, Mapping, Sequence
@@ -331,6 +330,7 @@ def write_pajek(fh: IO[str], graph: CoauthorGraph) -> None:
 
 
 def sha256_file(path) -> str:
+    import hashlib  # here and in build_manifest: it loads libcrypto and only analyze digests
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -349,6 +349,7 @@ def build_manifest(version: str, settings: dict, inputs: list[dict],
         "settings": settings,
         "inputs": [(item["role"], item["name"], item["sha256"]) for item in inputs],
     }
+    import hashlib
     config_hash = hashlib.sha256(
         json.dumps(hashed, sort_keys=True).encode("utf-8")).hexdigest()
     return {

@@ -26,8 +26,7 @@ further than `ingest`, and keys every counter by it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Iterable, Iterator, KeysView, Mapping, Sequence
+from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple, Sequence
 
 from .errors import AuthormineError, BoundaryNotFoundError, ConfigError
 from .ingest import ChangeKind, CommitRecord, ReleaseTag
@@ -35,8 +34,7 @@ from .ingest import ChangeKind, CommitRecord, ReleaseTag
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class FileCounters:
+class FileCounters(NamedTuple):
     """Frozen per-file accumulation state: creator, commit total, deliveries,
     each developer given by email; all the author rule reads."""
 
@@ -45,8 +43,7 @@ class FileCounters:
     deliveries: Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class ReleaseSnapshot:
+class ReleaseSnapshot(NamedTuple):
     """Immutable view of the history up to (and including) one release boundary.
 
     `files` maps the path of each live file, and of no other, to its counters.

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigError
 from .patterns import pattern_regex
@@ -13,17 +12,24 @@ from .patterns import pattern_regex
 SCOPE_ALL = "All"  # the name of the whole tree's scope, which no rule may take
 
 
-@dataclass(frozen=True)
-class SubsystemRules:
-    """Ordered (pattern, label) pairs, each pattern compiled from its
-    `pattern_regex`; the first match wins, else `fallback`."""
-
+class _SubsystemRulesFields(NamedTuple):
     rules: tuple[tuple[re.Pattern, str], ...]
     fallback: str
 
-    def __post_init__(self):
+
+class SubsystemRules(_SubsystemRulesFields):
+    """Ordered (pattern, label) pairs, each pattern compiled from its
+    `pattern_regex`; the first match wins, else `fallback`."""
+
+    __slots__ = ()
+
+    def __new__(cls, rules: tuple[tuple[re.Pattern, str], ...], fallback: str):
+        self = super().__new__(cls, rules, fallback)
         if SCOPE_ALL in self.labels:
             raise ValueError(f"label {SCOPE_ALL!r} is reserved for the whole tree")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 WorkloadSample = Sequence[float]
 # authored live files per author email in one scope, the one table that
@@ -89,8 +88,7 @@ def medcouple(sample: Sequence[int]) -> float:
     return (a + b) / 2
 
 
-@dataclass(frozen=True, slots=True)
-class Fences:
+class Fences(NamedTuple):
     lower: float
     upper: float
 
@@ -134,8 +132,7 @@ def gini(sample: WorkloadSample) -> float:
     return weighted / (n * total)
 
 
-@dataclass(frozen=True, slots=True)
-class TopKShare:
+class TopKShare(NamedTuple):
     """Shares of a scope's live files authored by its top author, and by
     its top k authors together.
 

@@ -1,7 +1,6 @@
 """The public API is sealed: every exported function and class has a use."""
 
 import ast
-import dataclasses
 import inspect
 import os
 import re
@@ -84,8 +83,7 @@ def test_results_keep_text_not_scores():
     """A file's scores are rendered as they are computed and then dropped: a
     result keeps its author set, counters and text, keyed by the file's path
     alone, and the series state keeps no second table of it."""
-    assert [f.name for f in dataclasses.fields(FileAuthorship)] == \
-        ["authors", "counters", "text"]
+    assert list(FileAuthorship.__slots__) == ["authors", "counters", "text"]
     assert not hasattr(SeriesState(default_rules(), DoaThresholds()), "tails")
 
 
@@ -93,7 +91,7 @@ def test_one_change_detector():
     """A release's delta is found by counters identity alone: a snapshot
     carries no delta of its own, and the series state no record of which
     snapshot it reached."""
-    assert [f.name for f in dataclasses.fields(ReleaseSnapshot)] == ["release", "files"]
+    assert list(ReleaseSnapshot._fields) == ["release", "files"]
     assert not hasattr(SeriesState(default_rules(), DoaThresholds()), "reached")
 
 
@@ -106,3 +104,24 @@ def test_cli_imports_no_array_library():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_cli_loads_only_what_it_runs():
+    """Loading the command line pulls in no `dataclasses` (nor the `inspect`
+    it imports) and no `hashlib`, which loads libcrypto: every command would
+    pay for them before it reads the log.  Only `analyze` digests anything,
+    so a query loads no `hashlib` either."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = ("import sys, authormine.cli as cli\n"
+             "def loaded():\n"
+             "    heavy = ('dataclasses', 'inspect', 'hashlib')\n"
+             "    print('loaded', [name for name in heavy if name in sys.modules])\n"
+             "loaded()\n"
+             "assert cli.main(['stats', *sys.argv[1:]]) == 0\n"
+             "loaded()\n")
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "--log", str(FIXTURE_LOG),
+         "--releases", str(FIXTURE_RELEASES)],
+        env=env, capture_output=True, text=True, check=True)
+    lines = result.stdout.splitlines()
+    assert len(lines) > 2 and [lines[0], lines[-1]] == ["loaded []", "loaded []"]

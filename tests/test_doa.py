@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from authormine import (DoaThresholds, FileCounters, ReleaseTag,
+from authormine import (DoaThresholds, FileAuthorship, FileCounters, ReleaseTag,
                         author_proportion, compute_authorship, doa, doa_absolute, score_file)
 import oracles
 from helpers import (assert_views_match, counted, dev, engine_view, make_record,
@@ -147,6 +147,13 @@ class TestAuthorsOf:
         with pytest.raises(ValueError):
             DoaThresholds(absolute_floor=0.0)
 
+    def test_thresholds_replace_checks_too(self):
+        with pytest.raises(ValueError, match="normalized_floor must be in"):
+            DoaThresholds()._replace(normalized_floor=1.5)
+        with pytest.raises(ValueError, match="absolute_floor must be finite"):
+            DoaThresholds._make((0.75, float("nan")))
+        assert DoaThresholds()._replace(normalized_floor=0.5) == DoaThresholds(0.5)
+
 
 def direct_scores(counters, thresholds):
     """One file's score rows with each developer's formula evaluated on its own."""
@@ -199,6 +206,21 @@ class TestAuthorshipMap:
         assert set(counts) == {d for fa in authorship.values() for d in fa.authors}
         for developer, n in counts.items():
             assert n == sum(developer in fa.authors for fa in authorship.values())
+
+
+class TestFileAuthorship:
+    @given(st.frozensets(st.integers(0, 2).map(dev), max_size=2), file_counters(),
+           st.sampled_from([None, ("row",)]),
+           st.frozensets(st.integers(0, 2).map(dev), max_size=2), file_counters(),
+           st.sampled_from([None, ("row",)]))
+    def test_equal_exactly_when_the_authors_are(self, authors, counters, text,
+                                                other_authors, other_counters, other_text):
+        x = FileAuthorship(authors, counters, text)
+        y = FileAuthorship(other_authors, other_counters, other_text)
+        assert (x == y) == (authors == other_authors)
+        assert (x != y) == (authors != other_authors)
+        if x == y:
+            assert hash(x) == hash(y)
 
 
 class TestAuthorProportion:

@@ -311,6 +311,23 @@ class TestFileChange:
         assert rename._replace(path="c") == FileChange(ChangeKind.RENAME, "c", "a")
 
 
+class TestDeveloperId:
+    @given(st.tuples(st.sampled_from(["Ada", "Ann", ""]), st.sampled_from(["a@x", "b@x"])),
+           st.tuples(st.sampled_from(["Ada", "Ann", ""]), st.sampled_from(["a@x", "b@x"])))
+    def test_equal_exactly_when_the_emails_are(self, first, second):
+        x, y = DeveloperId(*first), DeveloperId(*second)
+        assert (x == y) == (first[1] == second[1])
+        assert (x != y) == (not x == y)
+        if x == y:
+            assert hash(x) == hash(y)
+        # never equal to its own (name, email), from either side
+        assert x != first and not x == first and first != x
+
+    def test_has_no_order(self):
+        with pytest.raises(TypeError):
+            DeveloperId("Ada", "a@x") < DeveloperId("Ann", "b@x")
+
+
 class TestResolveAliases:
     def test_lookup_hit(self):
         raw = DeveloperId("Linus Torvalds", "torvalds@osdl.org")

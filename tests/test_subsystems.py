@@ -136,6 +136,14 @@ class TestLoadRules:
         with pytest.raises(ValueError, match=message):
             SubsystemRules(compiled, fallback)
 
+    def test_replace_checks_too(self):
+        rules = make_rules([("drivers/", "Driver")], "Misc")
+        with pytest.raises(ValueError, match="label 'All' is reserved"):
+            rules._replace(fallback="All")
+        with pytest.raises(ValueError, match="label 'All' is reserved"):
+            SubsystemRules._make((rules.rules, "All"))
+        assert rules._replace(fallback="Other").labels == ("Driver", "Other")
+
     def test_missing_tab(self, tmp_path):
         path = tmp_path / "rules.tsv"
         path.write_text("arch/ Arch\n")
