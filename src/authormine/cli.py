@@ -24,10 +24,10 @@ from .ingest import (AliasMap, ReleaseTag, apply_path_filters, load_alias_map,
                      load_releases, parse_commit_log, resolve_aliases)
 from .patterns import PathMatcher
 from .reports import (EDGES_HEADER, NETWORK_HEADER, REPORTS, WORKLOAD_HEADER,
-                      build_manifest, edge_rows, end_json_mirror, fmt_float, network_row,
-                      release_graphs, release_report, release_workload, scope_name,
-                      sha256_file, write_csv, write_csv_text, write_json_mirror,
-                      write_manifest, write_pajek)
+                      AuthorshipRenderer, advance, build_manifest, edge_rows,
+                      end_json_mirror, fmt_float, network_row, release_report, scope_graph,
+                      scope_name, sha256_file, workload_row, write_csv, write_csv_text,
+                      write_json_mirror, write_manifest, write_pajek)
 from .series import SeriesState
 from .snapshot import ReleaseSnapshot, iter_snapshots
 from .subsystems import SubsystemRules, default_rules, load_rules
@@ -46,9 +46,7 @@ class RunConfig:
                  alias_map_path: "Path | None" = None, rules_path: "Path | None" = None,
                  exclusions: "list[str] | None" = None, follow_renames: bool = True,
                  thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
-                 output_dir: Path = Path("authormine-out"), json_mirror: bool = False,
-                 releases: "list[ReleaseTag] | None" = None,
-                 alias_map: "AliasMap | None" = None, rules: "SubsystemRules | None" = None):
+                 output_dir: Path = Path("authormine-out"), json_mirror: bool = False):
         self.log_paths = log_paths
         self.releases_path = releases_path
         self.alias_map_path = alias_map_path
@@ -59,9 +57,9 @@ class RunConfig:
         self.output_dir = output_dir
         self.json_mirror = json_mirror
         # populated by validate()
-        self.releases = [] if releases is None else releases
-        self.alias_map = {} if alias_map is None else alias_map
-        self.rules = rules
+        self.releases: list[ReleaseTag] = []
+        self.alias_map: AliasMap = {}
+        self.rules: "SubsystemRules | None" = None
 
     def validate(self) -> None:
         """Fail fast: every referenced file must exist and parse."""
@@ -116,7 +114,7 @@ class RunConfig:
 
 
 @contextlib.contextmanager
-def _snapshot_stream(config: RunConfig, releases: "list[ReleaseTag] | None" = None,
+def _snapshot_stream(config: RunConfig, releases: list[ReleaseTag],
                      ) -> Iterator[Iterator[ReleaseSnapshot]]:
     """Open the log files and yield the snapshot iterator over them."""
     with contextlib.ExitStack() as stack:
@@ -128,8 +126,7 @@ def _snapshot_stream(config: RunConfig, releases: "list[ReleaseTag] | None" = No
 
         stream = resolve_aliases(records(), config.alias_map)
         stream = apply_path_filters(stream, config.exclusions)
-        yield iter_snapshots(stream, releases if releases is not None else config.releases,
-                             follow_renames=config.follow_renames)
+        yield iter_snapshots(stream, releases, follow_renames=config.follow_renames)
 
 
 STAGE_PATTERN = re.compile(r"\.authormine-([1-9][0-9]*)-.*")
@@ -188,8 +185,9 @@ def cmd_analyze(config: RunConfig) -> int:
             # each mirror's file and the opener of its next row
             mirrors = [[create(f"{name}.json"), "["] for name, _ in REPORTS] \
                 if config.json_mirror else []
-            state = SeriesState(config.rules, config.thresholds, config.json_mirror)
-            with _snapshot_stream(config) as snapshots:
+            state = SeriesState(config.rules, config.thresholds,
+                                AuthorshipRenderer(config.json_mirror))
+            with _snapshot_stream(config, config.releases) as snapshots:
                 for snap in snapshots:
                     release = snap.release.name
                     report = release_report(snap, state)
@@ -243,7 +241,7 @@ def _releases(config: RunConfig, release_name: "str | None") -> list[ReleaseTag]
 def cmd_authors(config: RunConfig, file_path: str, release_name: str) -> int:
     config.validate()
     tag = _find_release(config, release_name)
-    with _snapshot_stream(config, releases=[tag]) as snapshots:
+    with _snapshot_stream(config, [tag]) as snapshots:
         snap = next(snapshots)
     # ingest stores every path normalised, so `./a/b` and `a//b` name `a/b`
     counters = snap.files.get(posixpath.normpath(file_path))
@@ -264,7 +262,10 @@ def cmd_stats(config: RunConfig, release_name: "str | None") -> int:
     state = SeriesState(config.rules, config.thresholds)
     with _snapshot_stream(config, releases) as snapshots:
         for snap in snapshots:
-            rows.extend(release_workload(snap, state))
+            advance(state, snap)
+            rows.extend(workload_row(snap.release.name, scope, state.author_counts[scope],
+                                     n_files)
+                        for scope, n_files in state.sizes.items())
     write_csv(sys.stdout, WORKLOAD_HEADER, rows)
     return EXIT_OK
 
@@ -286,7 +287,8 @@ def cmd_network(config: RunConfig, release_name: "str | None",
     state = SeriesState(config.rules, config.thresholds)
     with _snapshot_stream(config, releases) as snapshots:
         for snap in snapshots:
-            graphs = release_graphs(snap, state)
+            advance(state, snap)
+            graphs = {scope: scope_graph(state, scope) for scope in state.sizes}
             rows.extend(network_row(snap.release.name, key, graph)
                         for key, graph in graphs.items())
     if edges_path or graph_path:  # --release is set, so `graphs` is that release's

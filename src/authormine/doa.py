@@ -76,7 +76,7 @@ class DevScore(NamedTuple):
 
 class FileAuthorship:
     """A file's authors, the frozen counters they come from and its rows as
-    `reports.RowText`, None unless rendered.  Equal when the authors are."""
+    `reports.RowText`, None without a renderer.  Equal when the authors are."""
 
     __slots__ = ("authors", "counters", "text")
 

@@ -2,7 +2,7 @@
 
 All report output is deterministic: files are ordered by path,
 developers by email, scopes as declared in the rules, and floats are
-rendered with a fixed six-decimal format.  Metrics that are undefined
+written with a fixed six-decimal format.  Metrics that are undefined
 for a scope are written as "NA", never as zero.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from json.encoder import encode_basestring
-from typing import IO, Callable, Collection, Iterable, Mapping, Sequence
+from typing import IO, Collection, Iterable, Mapping, Sequence
 
 from .doa import DevScore, FileAuthorship, compute_authorship
 from .network import (CoauthorGraph, assortativity, build_graph, clustering_avg_local,
@@ -80,7 +80,7 @@ def _json_template(keys: Sequence[str], numbers: int = 0) -> str:
     """The body of a JSON row object whose first member precedes it, laid out as
     `json.dump(..., indent=2)` does: one member per key, each value a `%s`
     field to fill with an encoded string, then the closing brace; the last
-    `numbers` fields are quoted already, as a rendered number needs no
+    `numbers` fields are quoted already, as a formatted number needs no
     escaping.  A NUL marks each field until the percent signs are escaped:
     an encoded key holds none."""
     marks = ["\0"] * (len(keys) - numbers) + ['"\0"'] * numbers
@@ -156,7 +156,7 @@ class AuthorshipRenderer:
 def authorship_rows(authorship: "Mapping[str, FileAuthorship]",
                     paths: Iterable[str]) -> list[RowText]:
     """The authorship rows of the given live files without the release
-    column: the text `advance` rendered for each, under `release_report`."""
+    column: the text `advance` gave each, under `release_report`."""
     return [authorship[path].text for path in paths]
 
 
@@ -213,62 +213,50 @@ def network_row(release_name: str, scope: "str | None",
     ]
 
 
-def advance(state: SeriesState, snapshot: ReleaseSnapshot,
-            render: "Callable[[str, Sequence[DevScore]], RowText] | None" = None,
-            ) -> "dict[str, FileAuthorship]":
-    """Bring `state` to `snapshot` and return its results.
+def advance(state: SeriesState, snapshot: ReleaseSnapshot) -> "dict[str, FileAuthorship]":
+    """Bring `state` to `snapshot` and return its results: the one release
+    step of every command.
 
     Past `SeriesState.delta`, only the delta is visited: each changed path
-    is scored, rendered with `render` if given, and counted again if its
-    author set changed; each born path is classified, each dead one dropped.
-    A new state computes the release from scratch.
+    is scored, given its text by the state's renderer if it has one, and
+    counted again if its author set changed; each born path is classified,
+    each dead one dropped.  A new state computes the release from scratch.
     """
-    changed, dead = state.delta(snapshot, render is not None)
-    authorship = compute_authorship(snapshot, state.thresholds, state.authorship, render,
+    changed, dead = state.delta(snapshot)
+    authorship = compute_authorship(snapshot, state.thresholds, state.authorship, state.render,
                                     changed, dead)
     born = scope_partition([path for path in changed if path not in state.labels],
                            state.rules, state.labels)
-    state.update(authorship, changed, dead, born, render is not None)
+    state.update(authorship, changed, dead, born)
     return authorship
 
 
-def _graph(state: SeriesState, scope: "str | None") -> CoauthorGraph:
-    return build_graph(state.author_counts.get(scope, {}), state.edge_weights.get(scope, {}))
+def scope_graph(state: SeriesState, scope: "str | None") -> CoauthorGraph:
+    """The co-authorship graph of one scope, None for All, at the release
+    `state` last reached."""
+    return build_graph(state.author_counts[scope], state.edge_weights[scope])
 
 
 def release_report(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[RowText]]:
     """The reports of one release as text, one RowText list per REPORTS entry:
     each live file's authorship rows in path order (`authorship_rows`), then
     one group of the workload, profiles and network rows each, scopes
-    All-first.  The state's one renderer renders every release."""
+    All-first.  The state's renderer gives every release its text; a state
+    made without one has none to report."""
     if state.render is None:
-        state.render = AuthorshipRenderer(state.json_bodies)
-    authorship = advance(state, snapshot, state.render)
+        raise ValueError("release_report needs a SeriesState made with a renderer")
+    authorship = advance(state, snapshot)
     name = snapshot.release.name
     tables = ([], [], [])  # the workload, profiles and network rows
     for scope, n_files in state.sizes.items():
-        counts = state.author_counts.get(scope, {})
+        counts = state.author_counts[scope]
         tables[0].append(workload_row(name, scope, counts, n_files))
         tables[1].append(profiles_row(name, scope, counts, state.subsystem_counts))
-        tables[2].append(network_row(name, scope, _graph(state, scope)))
+        tables[2].append(network_row(name, scope, scope_graph(state, scope)))
     files = authorship_rows(authorship, state.paths)
-    return [files] + [[render_rows(header, [row[1:] for row in rows], state.json_bodies)]
+    with_json = state.render.with_json
+    return [files] + [[render_rows(header, [row[1:] for row in rows], with_json)]
                       for (_, header), rows in zip(REPORTS[1:], tables)]
-
-
-def release_workload(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[str]]:
-    """The workload rows of one release and nothing else, as `stats` prints them."""
-    advance(state, snapshot)
-    return [workload_row(snapshot.release.name, scope, state.author_counts.get(scope, {}),
-                         n_files)
-            for scope, n_files in state.sizes.items()]
-
-
-def release_graphs(snapshot: ReleaseSnapshot, state: SeriesState,
-                   ) -> "dict[str | None, CoauthorGraph]":
-    """The co-authorship graph of each scope of one release, All first."""
-    advance(state, snapshot)
-    return {scope: _graph(state, scope) for scope in state.sizes}
 
 
 def edge_rows(graph: CoauthorGraph) -> list[list[str]]:

@@ -85,17 +85,11 @@ def load_rules(path) -> SubsystemRules:
     return make_rules(pairs, fallback)
 
 
-_default_rules: SubsystemRules | None = None
-
-
 def default_rules() -> SubsystemRules:
     """The bundled seven-subsystem decomposition for Linux-like trees."""
-    global _default_rules
-    if _default_rules is None:
-        ref = resources.files("authormine.data").joinpath("subsystem_rules.tsv")
-        with resources.as_file(ref) as path:
-            _default_rules = load_rules(path)
-    return _default_rules
+    ref = resources.files("authormine.data").joinpath("subsystem_rules.tsv")
+    with resources.as_file(ref) as path:
+        return load_rules(path)
 
 
 def scope_partition(paths: Iterable[str], rules: SubsystemRules,
@@ -105,17 +99,14 @@ def scope_partition(paths: Iterable[str], rules: SubsystemRules,
     key per label in rules order.  A release step passes the paths born
     since the last release, so each path is classified once.
 
-    `labels` memoizes `rules.classify` by path: a path found there is not
-    classified again, and one that is not is classified and added.
+    Each path's label is recorded in `labels`, if given.
     """
     labels = {} if labels is None else labels
     partition: dict[str | None, list[str]] = {None: []}
     for label in rules.labels:
         partition[label] = []
     for path in sorted(paths):
-        label = labels.get(path)
-        if label is None:
-            label = labels[path] = rules.classify(path)
+        label = labels[path] = rules.classify(path)
         partition[None].append(path)
         partition[label].append(path)
     return partition

@@ -11,7 +11,7 @@ from authormine import (ChangeKind, CommitRecord, CoauthorGraph, DeveloperId,
                         DoaThresholds, FileAuthorship, FileChange, ReleaseSnapshot,
                         ReleaseTag, SeriesState, build_graph, compute_authorship,
                         default_rules, iter_snapshots, scope_partition, score_file)
-from authormine.reports import advance
+from authormine.reports import advance, workload_row
 
 
 def dev(i: int) -> str:
@@ -123,6 +123,17 @@ def canonical_snapshot_json(snapshot: ReleaseSnapshot) -> str:
         },
     }
     return json.dumps(payload, sort_keys=True)
+
+
+def workload_rows(snapshot: ReleaseSnapshot, state: "SeriesState | None" = None,
+                  ) -> list[list[str]]:
+    """The workload rows of one release as `stats` prints them: `state`, or
+    a new one without a renderer, brought to `snapshot` by `advance`, then
+    one row per scope from its counts."""
+    state = SeriesState(default_rules(), DoaThresholds()) if state is None else state
+    advance(state, snapshot)
+    return [workload_row(snapshot.release.name, scope, state.author_counts[scope], n_files)
+            for scope, n_files in state.sizes.items()]
 
 
 def counted(snapshot: ReleaseSnapshot, rules=None) -> tuple[SeriesState, dict]:

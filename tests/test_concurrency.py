@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from authormine import (DoaThresholds, SeriesState, compute_authorship, default_rules,
                         iter_snapshots, score_file)
-from authormine.reports import release_report
+from authormine.reports import AuthorshipRenderer, release_report
 from helpers import canonical_snapshot_json, snapshot_at
 
 
@@ -14,7 +14,8 @@ def test_concurrent_release_analytics_match_serial(fixture_records, fixture_rele
     thresholds = DoaThresholds()
 
     def analyze(snap):  # from scratch: a state belongs to one thread
-        return release_report(snap, SeriesState(rules, thresholds))
+        return release_report(snap, SeriesState(rules, thresholds,
+                                                AuthorshipRenderer(with_json=False)))
 
     serial = [analyze(s) for s in snapshots]
     with ThreadPoolExecutor(max_workers=4) as pool:

@@ -8,7 +8,7 @@ import pytest
 from authormine import (DoaThresholds, ReleaseTag, SeriesState, assortativity,
                         build_graph, clustering_avg_local, clustering_global,
                         default_rules, mean_degree, solitary_authors)
-from authormine.reports import release_graphs
+from authormine.reports import advance, scope_graph
 import oracles
 from helpers import dev, graph_from_data, make_record, snapshot_at
 
@@ -37,7 +37,9 @@ def coauthored(commit_spec, scope=None):
             records.append(make_record(f"c{i:03d}", d, i,
                                        [("A" if j == 0 else "M", path)]))
     snap = snapshot_at(records, ReleaseTag("r", f"c{i:03d}"))
-    return release_graphs(snap, SeriesState(default_rules(), DoaThresholds()))[scope]
+    state = SeriesState(default_rules(), DoaThresholds())
+    advance(state, snap)
+    return scope_graph(state, scope)
 
 
 def three_author_history():

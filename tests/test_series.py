@@ -3,17 +3,24 @@
 import io
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from authormine import (DoaThresholds, ReleaseTag, SeriesState, default_rules, doa,
                         iter_snapshots)
-from authormine.reports import (REPORTS, end_json_mirror, release_report, release_workload,
-                                write_csv_text, write_json_mirror)
+from authormine.reports import (REPORTS, AuthorshipRenderer, advance, end_json_mirror,
+                                release_report, write_csv_text, write_json_mirror)
 import oracles
-from helpers import counted, dev, make_record, snapshot_at
+from helpers import counted, dev, make_record, snapshot_at, workload_rows
 
 RULES = default_rules()
 THRESHOLDS = DoaThresholds()
+
+
+def rendering():
+    """A new state that gives each result its text, JSON bodies included,
+    as `analyze --json` makes it."""
+    return SeriesState(RULES, THRESHOLDS, AuthorshipRenderer(with_json=True))
 
 
 def gen_series(rng):
@@ -60,8 +67,7 @@ def gen_series(rng):
 def written(snap, state=None):
     """What one release adds to each report CSV and to its JSON mirror; from
     an empty state without `state`."""
-    state = SeriesState(RULES, THRESHOLDS, json_bodies=True) if state is None else state
-    report = release_report(snap, state)
+    report = release_report(snap, rendering() if state is None else state)
     out = []
     for (_, header), groups in zip(REPORTS, report):
         text, mirror = io.StringIO(), io.StringIO()
@@ -80,7 +86,7 @@ def nonzero(counts):
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
     records, releases = gen_series(rng)
-    state = SeriesState(RULES, THRESHOLDS, json_bodies=True)
+    state = rendering()
     snapshots = list(iter_snapshots(records, releases, follow_renames))
     for k, snap in enumerate(snapshots):
         scratch = snapshot_at(records, snap.release, follow_renames)
@@ -107,17 +113,17 @@ def test_out_of_sequence_snapshots_equal_rows_from_empty_state(rng, follow_renam
     # one state is fed the snapshots of one accumulator with releases
     # skipped, and another with releases repeated, so a snapshot's delta
     # does not lead from the state's last snapshot; with `mixed`, every other
-    # release goes through release_workload, which renders no text
+    # release is reached by `advance` alone, as `stats` reaches it, and only
+    # its workload rows are compared
     records, releases = gen_series(rng)
     snapshots = list(iter_snapshots(records, releases, follow_renames))
     skipping = snapshots[::2] + snapshots[-1:]
     repeating = [snap for snap in snapshots for _ in range(rng.choice((1, 2)))]
     for sequence in (skipping, repeating):
-        state = SeriesState(RULES, THRESHOLDS, json_bodies=True)
+        state = rendering()
         for k, snap in enumerate(sequence):
             if mixed and k % 2:
-                fresh = SeriesState(RULES, THRESHOLDS)
-                assert release_workload(snap, state) == release_workload(snap, fresh)
+                assert workload_rows(snap, state) == workload_rows(snap)
             else:
                 assert written(snap, state) == written(snap)
 
@@ -152,8 +158,7 @@ def test_born_and_dead_between_releases_leaves_no_trace():
     first, second = iter_snapshots(records, [ReleaseTag("r1", "c1"), ReleaseTag("r2", "c3")])
     state = SeriesState(RULES, THRESHOLDS)
     for snap in (first, second):
-        assert release_workload(snap, state) == release_workload(snap, SeriesState(RULES,
-                                                                                   THRESHOLDS))
+        assert workload_rows(snap, state) == workload_rows(snap)
     fresh, partition = counted(second)
     assert state.sizes == fresh.sizes == {scope: len(paths)
                                           for scope, paths in partition.items()}
@@ -176,26 +181,41 @@ def test_paths_stay_sorted_through_many_births_and_deaths():
     releases = [ReleaseTag(f"r{k}", f"c{k}") for k in (1, 2, 3)]
     state = SeriesState(RULES, THRESHOLDS)
     for snap in iter_snapshots(records, releases):
-        assert release_workload(snap, state) == release_workload(snap, SeriesState(RULES,
-                                                                                   THRESHOLDS))
+        assert workload_rows(snap, state) == workload_rows(snap)
         fresh, _ = counted(snap)
         assert state.paths == sorted(snap.files)
         assert state.sizes == fresh.sizes
 
 
-def test_report_after_workload_renders_unchanged_files():
-    # the first release is counted without text; the second changes one of
-    # three files, and the report must still hold the rows of all three
+def three_files_then_one_changed():
+    """Two snapshots: three files, then one of them changed."""
     records = [make_record("c1", dev(1), 1, [("A", "drivers/a.c"), ("A", "fs/b.c"),
                                              ("A", "net/c.c")]),
                make_record("c2", dev(2), 2, [("M", "fs/b.c")])]
-    first, second = iter_snapshots(records, [ReleaseTag("r1", "c1"), ReleaseTag("r2", "c2")])
-    state = SeriesState(RULES, THRESHOLDS, json_bodies=True)
-    release_workload(first, state)
-    assert all(fa.text is None for fa in state.authorship.values())
-    assert written(second, state) == written(second)
-    assert sorted(state.authorship) == sorted(second.files)
+    return iter_snapshots(records, [ReleaseTag("r1", "c1"), ReleaseTag("r2", "c2")])
+
+
+def test_report_needs_a_renderer():
+    # a state made without a renderer has no text to report, and is left
+    # where it was
+    first, _ = three_files_then_one_changed()
+    state = SeriesState(RULES, THRESHOLDS)
+    with pytest.raises(ValueError) as raised:
+        release_report(first, state)
+    assert str(raised.value) == "release_report needs a SeriesState made with a renderer"
+    assert state.authorship == {} and state.paths == []
+
+
+def test_report_after_advance_alone_holds_unchanged_files():
+    # the first release is reached by `advance` alone; the second changes
+    # one of three files, and the report must still hold the rows of all three
+    first, second = three_files_then_one_changed()
+    state = rendering()
+    advance(state, first)
     assert all(fa.text is not None for fa in state.authorship.values())
+    assert written(second, state) == written(second)
+    assert state.rescored == 1
+    assert sorted(state.authorship) == sorted(second.files)
 
 
 def test_series_rescores_only_changed_files(monkeypatch):
@@ -212,7 +232,7 @@ def test_series_rescores_only_changed_files(monkeypatch):
     ]
     releases = [ReleaseTag("r1", "c1"), ReleaseTag("r2", "c2"), ReleaseTag("r3", "c3"),
                 ReleaseTag("r3-again", "c3"), ReleaseTag("r4", "c4")]
-    state = SeriesState(RULES, THRESHOLDS)
+    state = rendering()
     rescored = []
     for snap in iter_snapshots(records, releases):
         scored.clear()
@@ -224,7 +244,7 @@ def test_series_rescores_only_changed_files(monkeypatch):
 
 
 def test_fixture_series_matches_per_release(fixture_records, fixture_releases):
-    state = SeriesState(RULES, THRESHOLDS, json_bodies=True)
+    state = rendering()
     for snap in iter_snapshots(fixture_records, fixture_releases):
         assert written(snap, state) == written(snap)
 
@@ -248,7 +268,7 @@ def test_memory_of_a_reused_release_bounded_by_one_file():
     records = [make_record("c1", dev(1), 1, [("A", p) for p in paths]),
                make_record("c2", dev(2), 2, [("M", p) for p in paths])]
     releases = [ReleaseTag("r1", "c2"), ReleaseTag("r2", "c2")]
-    state = SeriesState(RULES, THRESHOLDS, json_bodies=True)
+    state = rendering()
     first, second = iter_snapshots(records, releases)
     release_report(first, state)
     report = release_report(second, state)

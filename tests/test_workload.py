@@ -7,12 +7,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from authormine import (DoaThresholds, ReleaseTag, SeriesState, adjusted_fences,
-                        compute_authorship, default_rules, files_per_author, gini,
-                        medcouple, quantile, top_k_share)
+from authormine import (ReleaseTag, adjusted_fences, compute_authorship, files_per_author,
+                        gini, medcouple, quantile, top_k_share)
 from authormine import reports, workload
 import oracles
-from helpers import counted, dev, make_record, snapshot_at
+from helpers import counted, dev, make_record, snapshot_at, workload_rows
 
 samples = st.lists(st.integers(0, 1000), min_size=1, max_size=60)
 positive_samples = st.lists(st.integers(1, 1000), min_size=1, max_size=60)
@@ -286,8 +285,6 @@ class TestFixtureWorkload:
         monkeypatch.setattr(reports, "medcouple", counted)
         monkeypatch.setattr(workload, "medcouple", counted)
         snap = snapshot_at(fixture_records, fixture_releases[-1])
-        workload_rows = reports.release_workload(
-            snap, SeriesState(default_rules(), DoaThresholds()))
-        with_mc = [row for row in workload_rows if row[8] != "NA"]
+        with_mc = [row for row in workload_rows(snap) if row[8] != "NA"]
         assert with_mc
         assert len(calls) == len(with_mc)
