@@ -14,12 +14,12 @@ inequality on the normalized floor, inclusive on the absolute floor).
 
 `score_file` is the only place the rule is evaluated: it scores one
 file's frozen counters (creator, commit total, deliveries), and
-`compute_authorship` applies it to the live files of a snapshot that an
-earlier result does not already cover.  A file's scores take few
-distinct (FA, DL, AC) inputs, so `score_file` evaluates the formula
-through a bounded memo of them, which every command shares.  A result
-keeps the file's author set and report text, not its scores.  A
-developer is their canonical email, as the accumulator keys them; the
+`compute_authorship` applies it to the given live files of a snapshot,
+or to all of them; a `series.SeriesState` keeps the results.  A file's
+scores take few distinct (FA, DL, AC) inputs, so `score_file` evaluates
+the formula through a bounded memo of them, which every command shares.
+A result keeps the file's author set and report text, not its scores.
+A developer is their canonical email, as the accumulator keys them; the
 ingest identity type does not reach this module.  The model's
 coefficients are constants; its two floors are parameters, which the
 command line sets.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Collection, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .snapshot import FileCounters, ReleaseSnapshot
 
@@ -76,20 +76,13 @@ class DevScore(NamedTuple):
 
 class FileAuthorship:
     """A file's authors, the frozen counters they come from and its rows as
-    `reports.RowText`, None without a renderer.  Equal when the authors are."""
+    `reports.RowText`, None without a renderer."""
 
     __slots__ = ("authors", "counters", "text")
 
     def __init__(self, authors: frozenset[str], counters: FileCounters,
                  text: "tuple | None" = None):
         self.authors, self.counters, self.text = authors, counters, text
-
-    def __eq__(self, other):
-        return self.authors == other.authors if type(other) is FileAuthorship \
-            else NotImplemented
-
-    def __hash__(self):
-        return hash(self.authors)
 
 
 def score_file(counters: FileCounters, thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
@@ -128,25 +121,15 @@ def score_file(counters: FileCounters, thresholds: DoaThresholds = DEFAULT_THRES
 
 def compute_authorship(snapshot: ReleaseSnapshot,
                        thresholds: DoaThresholds = DEFAULT_THRESHOLDS,
-                       previous: "Mapping[str, FileAuthorship] | None" = None,
                        render: "Callable[[str, tuple[DevScore, ...]], tuple] | None" = None,
-                       changed: "Collection[str] | None" = None,
-                       dead: Collection[str] = (),
+                       paths: "Iterable[str] | None" = None,
                        ) -> dict[str, FileAuthorship]:
-    """Score the live files of a snapshot: results by path, in no set order.
-
-    `previous` holds results computed with the same floors, by path, for the
-    paths live at an earlier snapshot; `dead` names those no longer live
-    and `changed` (by default every live path) those to score.  The
-    results of dead paths are dropped, every other result is taken over as
-    it is, and each changed path is scored, with `render(path, scores)` as
-    its text if `render` is given.
-    """
-    files = {} if previous is None else dict(previous)
-    for path in dead:
-        del files[path]
+    """Score the given live paths of a snapshot, by default all of them: their
+    results by path, in the order given, each with `render(path, scores)`
+    as its text if `render` is given."""
+    files = {}
     counters_of = snapshot.files
-    for path in counters_of if changed is None else changed:
+    for path in counters_of if paths is None else paths:
         counters = counters_of[path]
         try:
             scores, authors = score_file(counters, thresholds)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
+from itertools import chain
 from json.encoder import encode_basestring
-from typing import IO, Collection, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .doa import DevScore, FileAuthorship, compute_authorship
 from .network import (CoauthorGraph, assortativity, build_graph, clustering_avg_local,
@@ -187,10 +189,10 @@ def workload_row(release_name: str, scope: "str | None",
 
 
 def profiles_row(release_name: str, scope: "str | None", counts: AuthorCounts,
-                 subsystems: "Mapping[str, Collection[str]]") -> list[str]:
+                 spread: "Mapping[str, int]") -> list[str]:
     if not counts:
         return [release_name, scope_name(scope), "0", "0", "0", "NA"]
-    breakdown = profile_proportions(counts, subsystems)
+    breakdown = profile_proportions(counts, spread)
     return [
         release_name, scope_name(scope), str(breakdown.n_authors),
         str(breakdown.specialists), str(breakdown.generalists),
@@ -213,22 +215,20 @@ def network_row(release_name: str, scope: "str | None",
     ]
 
 
-def advance(state: SeriesState, snapshot: ReleaseSnapshot) -> "dict[str, FileAuthorship]":
-    """Bring `state` to `snapshot` and return its results: the one release
-    step of every command.
+def advance(state: SeriesState, snapshot: ReleaseSnapshot) -> None:
+    """Bring `state` to `snapshot`: the one release step of every command.
 
     Past `SeriesState.delta`, only the delta is visited: each changed path
     is scored, given its text by the state's renderer if it has one, and
-    counted again if its author set changed; each born path is classified,
-    each dead one dropped.  A new state computes the release from scratch.
+    merged into the state's results, counted again if its author set
+    changed; each born path is classified, each dead one dropped.  A new
+    state computes the release from scratch.
     """
     changed, dead = state.delta(snapshot)
-    authorship = compute_authorship(snapshot, state.thresholds, state.authorship, state.render,
-                                    changed, dead)
+    new = compute_authorship(snapshot, state.thresholds, state.render, changed)
     born = scope_partition([path for path in changed if path not in state.labels],
                            state.rules, state.labels)
-    state.update(authorship, changed, dead, born)
-    return authorship
+    state.update(new, dead, born)
 
 
 def scope_graph(state: SeriesState, scope: "str | None") -> CoauthorGraph:
@@ -245,15 +245,18 @@ def release_report(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[R
     made without one has none to report."""
     if state.render is None:
         raise ValueError("release_report needs a SeriesState made with a renderer")
-    authorship = advance(state, snapshot)
+    advance(state, snapshot)
     name = snapshot.release.name
+    # the number of subsystems each author authors files in
+    spread = Counter(chain.from_iterable(
+        counts for scope, counts in state.author_counts.items() if scope is not None))
     tables = ([], [], [])  # the workload, profiles and network rows
     for scope, n_files in state.sizes.items():
         counts = state.author_counts[scope]
         tables[0].append(workload_row(name, scope, counts, n_files))
-        tables[1].append(profiles_row(name, scope, counts, state.subsystem_counts))
+        tables[1].append(profiles_row(name, scope, counts, spread))
         tables[2].append(network_row(name, scope, scope_graph(state, scope)))
-    files = authorship_rows(authorship, state.paths)
+    files = authorship_rows(state.authorship, state.paths)
     with_json = state.render.with_json
     return [files] + [[render_rows(header, [row[1:] for row in rows], with_json)]
                       for (_, header), rows in zip(REPORTS[1:], tables)]

@@ -17,11 +17,12 @@ the release series):
   scope;
 - `labels`, the subsystem label of every live path, recorded when the
   path is born, so a path is classified once;
-- three sets of exact integer counts, which `update` keeps current by
-  subtracting the old author set of each dead path, and of each path
-  whose author set changed, and adding its new one: per scope, the
+- two sets of exact integer counts per scope, which `update` keeps
+  current by subtracting the old author set of each dead path, and of
+  each path whose author set changed, and adding its new one: the
   authored files of each author and the shared files of each co-author
-  pair; per author, the authored files in each subsystem.
+  pair.  The subsystems an author authors in are the label scopes that
+  count them.
 
 A release step, `reports.advance`, scores, classifies and counts what
 changed since the state's last snapshot, its `delta`: the live paths
@@ -29,9 +30,10 @@ whose counters object differs from their result's, and the paths no
 longer live.  The accumulator hands a file untouched since a release the
 same counters object again, so one walk of the live paths that compares
 identities finds the delta of any snapshot, in or out of sequence.
-Results of the other paths are taken over as they are; a moved file is
-new at its new path.  Entries of paths no longer live are dropped, so
-the state is bounded by the live files and their authors.
+`update` merges the delta's results into `authorship` in place, and the
+other paths' stay as they are; a moved file is new at its new path.
+Entries of paths no longer live are dropped, so the state is bounded by
+the live files and their authors.
 One state serves one run and one thread.  Handed a snapshot of an
 unrelated history it stays correct and reuses nothing.
 """
@@ -69,7 +71,6 @@ class SeriesState:
         self.labels: dict[str, str] = {}
         self.author_counts: dict[str | None, dict[str, int]] = {
             scope: {} for scope in scopes}
-        self.subsystem_counts: dict[str, dict[str, int]] = {}
         self.edge_weights: dict[str | None, dict[Edge, int]] = {
             scope: {} for scope in scopes}
         self.rescored = 0  # files of the last update whose results are new
@@ -85,35 +86,35 @@ class SeriesState:
                    if (fa := previous.get(path)) is None or fa.counters is not counters]
         return sorted(changed), [path for path in previous if path not in files]
 
-    def update(self, authorship: "dict[str, FileAuthorship]",
-               changed: Collection[str], dead: Collection[str],
+    def update(self, new: "dict[str, FileAuthorship]", dead: Collection[str],
                born: "dict[str | None, list[str]]") -> None:
-        """Move the state to the release whose results are `authorship`: those
-        of `changed` are new, those of `dead` gone, and `born` is the scope
-        partition of the changed paths new to the state, each in `labels`."""
-        previous, labels, sizes = self.authorship, self.labels, self.sizes
+        """Move the state to the next release in place: the results of `dead`
+        are dropped, those of `new` replace or join the state's, and `born`
+        is the scope partition of the paths of `new` new to the state, each
+        in `labels`."""
+        authorship, labels, sizes = self.authorship, self.labels, self.sizes
         for scope, paths in born.items():
             sizes[scope] += len(paths)
         for path in dead:
-            self._count(path, previous[path], -1)
+            self._count(path, authorship.pop(path), -1)
             label = labels.pop(path)
             sizes[None] -= 1
             sizes[label] -= 1
-        for path in changed:
-            old, fa = previous.get(path), authorship[path]
+        for path, fa in new.items():
+            old = authorship.get(path)
             if old is None:
                 self._count(path, fa, 1)
             elif old.authors != fa.authors:
                 self._count(path, old, -1)
                 self._count(path, fa, 1)
+            authorship[path] = fa
         if dead:
             gone = set(dead)
             self.paths = [path for path in self.paths if path not in gone]
         if born[None]:
             self.paths += born[None]
             self.paths.sort()  # two sorted runs, which the sort merges in one pass
-        self.authorship = authorship
-        self.rescored = len(changed)
+        self.rescored = len(new)
 
     def _count(self, path: str, fa: FileAuthorship, sign: int) -> None:
         label = self.labels[path]
@@ -123,11 +124,6 @@ class SeriesState:
             pairs = tuple(combinations(sorted(fa.authors), 2))
             for scope in (None, label):
                 _add(self.edge_weights[scope], pairs, sign)
-        for dev in fa.authors:
-            labels = self.subsystem_counts.setdefault(dev, {})
-            _add(labels, (label,), sign)
-            if not labels:
-                del self.subsystem_counts[dev]
 
 
 def _add(counts: "dict[Hashable, int]", keys: Iterable[Hashable], sign: int) -> None:

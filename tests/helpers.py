@@ -149,6 +149,18 @@ def counted(snapshot: ReleaseSnapshot, rules=None) -> tuple[SeriesState, dict]:
     return state, partition
 
 
+def subsystem_table(state: SeriesState) -> "tuple[dict[str, dict[str, int]], dict[str, int]]":
+    """Each author's authored files per subsystem label, read off the
+    state's per-scope author counts, and each author's spread: the number
+    of subsystems they author files in."""
+    table: dict[str, dict[str, int]] = {}
+    for scope, counts in state.author_counts.items():
+        if scope is not None:
+            for author, n in counts.items():
+                table.setdefault(author, {})[scope] = n
+    return table, {author: len(labels) for author, labels in table.items()}
+
+
 def view_at(records, release, follow_renames=True):
     """Engine snapshot + authorship view for one release, from scratch."""
     snap = snapshot_at(records, release, follow_renames=follow_renames)

@@ -19,7 +19,7 @@ from authormine.cli import main
 import oracles
 from conftest import GOLDEN_DIR
 from helpers import (assert_views_match, counted, dev, engine_view, graph_from_data,
-                     records_from_oracle, snapshot_at)
+                     records_from_oracle, snapshot_at, subsystem_table)
 from test_cli import CSV_NAMES, base_args
 
 
@@ -187,17 +187,17 @@ def test_criterion_7_profile_partition_property():
             if not snap.files:
                 continue
             state, partition = counted(snap, rules)
+            _, spread = subsystem_table(state)
             for scope, paths in partition.items():
                 if not paths:
                     continue
-                result = profile_proportions(state.author_counts[scope],
-                                             state.subsystem_counts)
+                result = profile_proportions(state.author_counts[scope], spread)
                 assert result.specialists + result.generalists == result.n_authors
                 assert abs(result.specialist_pct
                            - 100.0 * result.specialists / result.n_authors) <= 1e-9
             merged_state, _ = counted(snap, merged)
             merged_result = profile_proportions(merged_state.author_counts[None],
-                                                merged_state.subsystem_counts)
+                                                subsystem_table(merged_state)[1])
             assert merged_result.specialist_pct == 100.0
             assert merged_result.generalists == 0
             checked += 1

@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from authormine import (DoaThresholds, FileAuthorship, FileCounters, ReleaseTag,
-                        author_proportion, compute_authorship, doa, doa_absolute, score_file)
+from authormine import (DoaThresholds, FileCounters, ReleaseTag, author_proportion,
+                        compute_authorship, doa, doa_absolute, score_file)
+from authormine.reports import AuthorshipRenderer
 import oracles
 from helpers import (assert_views_match, counted, dev, engine_view, make_record,
                      records_from_oracle, snapshot_at)
@@ -207,20 +208,19 @@ class TestAuthorshipMap:
         for developer, n in counts.items():
             assert n == sum(developer in fa.authors for fa in authorship.values())
 
-
-class TestFileAuthorship:
-    @given(st.frozensets(st.integers(0, 2).map(dev), max_size=2), file_counters(),
-           st.sampled_from([None, ("row",)]),
-           st.frozensets(st.integers(0, 2).map(dev), max_size=2), file_counters(),
-           st.sampled_from([None, ("row",)]))
-    def test_equal_exactly_when_the_authors_are(self, authors, counters, text,
-                                                other_authors, other_counters, other_text):
-        x = FileAuthorship(authors, counters, text)
-        y = FileAuthorship(other_authors, other_counters, other_text)
-        assert (x == y) == (authors == other_authors)
-        assert (x != y) == (authors != other_authors)
-        if x == y:
-            assert hash(x) == hash(y)
+    def test_given_paths_alone_in_the_order_given(self, fixture_records, fixture_releases):
+        render = AuthorshipRenderer(with_json=True)
+        rng = random.Random(23)
+        for tag in fixture_releases:
+            snap = snapshot_at(fixture_records, tag)
+            full = compute_authorship(snap, render=render)
+            for k in (0, 1, len(full) // 2, len(full)):
+                paths = rng.sample(sorted(snap.files), k)
+                some = compute_authorship(snap, render=render, paths=paths)
+                assert list(some) == paths
+                for path, fa in some.items():
+                    assert fa.authors == full[path].authors
+                    assert fa.text == full[path].text
 
 
 class TestAuthorProportion:

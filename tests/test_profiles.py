@@ -6,7 +6,8 @@ import pytest
 
 from authormine import ReleaseTag, default_rules, make_rules, profile_proportions
 import oracles
-from helpers import counted, dev, make_record, records_from_oracle, snapshot_at
+from helpers import (counted, dev, make_record, records_from_oracle, snapshot_at,
+                     subsystem_table)
 
 
 def build(commit_spec):
@@ -23,11 +24,11 @@ def build(commit_spec):
 def profiles(snap, rules=None):
     """Each author's authored files per subsystem and a per-scope breakdown."""
     state, _ = counted(snap, rules)
+    subsystems, spread = subsystem_table(state)
 
     def breakdown(scope):
-        return profile_proportions(state.author_counts.get(scope, {}),
-                                   state.subsystem_counts)
-    return state.subsystem_counts, breakdown
+        return profile_proportions(state.author_counts[scope], spread)
+    return subsystems, breakdown
 
 
 class TestClassifyAuthor:

@@ -98,7 +98,6 @@ def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
         fresh, _ = counted(scratch)
         assert nonzero(state.author_counts) == nonzero(fresh.author_counts)
         assert nonzero(state.edge_weights) == nonzero(fresh.edge_weights)
-        assert state.subsystem_counts == fresh.subsystem_counts
         assert state.sizes == fresh.sizes
         assert state.paths == sorted(scratch.files)
         # entries of files that died are gone
@@ -126,6 +125,24 @@ def test_out_of_sequence_snapshots_equal_rows_from_empty_state(rng, follow_renam
                 assert workload_rows(snap, state) == workload_rows(snap)
             else:
                 assert written(snap, state) == written(snap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_results_merged_into_one_dict(rng, follow_renames):
+    # a release step merges its results into the state's, so no release
+    # pays for a copy of every live result; the state then holds exactly
+    # the snapshot's live paths
+    records, releases = gen_series(rng)
+    state = rendering()
+    results = state.authorship
+    for k, snap in enumerate(iter_snapshots(records, releases, follow_renames)):
+        if k % 2:
+            advance(state, snap)
+        else:
+            release_report(snap, state)
+        assert state.authorship is results
+        assert results.keys() == snap.files.keys()
 
 
 @settings(max_examples=120, deadline=None)

@@ -36,7 +36,7 @@ def scope_counts(commit_spec, scope=None):
     the scope's live file count."""
     snap, _ = authorship_for(commit_spec)
     state, partition = counted(snap)
-    return state.author_counts.get(scope, {}), len(partition[scope])
+    return state.author_counts[scope], len(partition[scope])
 
 
 class TestFilesPerAuthor:
