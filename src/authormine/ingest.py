@@ -14,13 +14,19 @@ here, at ingest: `resolve_aliases` trims and lowercases emails and merges
 different ones through the alias map, and from the accumulator on a
 developer is their canonical email, a plain `str`.
 
-Records, changes and release tags are named tuples, the first two built
-once per commit and per change.  Each stage is a generator holding one
-record at a time.  The parser's shared identities (one per raw email)
-and the alias resolver's memo (one per raw name and email) are bounded
-by the distinct raw identities, not by commits.  The one structure that
-grows with the commits is the set of commit ids that
-`snapshot.iter_snapshots` keeps to catch overlapping logs.
+Records, changes and release tags are named tuples.  The parser decodes
+a line that is one JSON object with one call into json's own scanner,
+checks each plain `[kind, path]` change where it reads it, and builds
+records and those changes with `tuple.__new__`, once per commit and per
+change; any other change entry goes through `_parse_change` and the
+checking `FileChange` constructor.  The other two stages build a record
+the same way, and only for a commit whose author or changes they alter.
+Each stage is a generator holding one record at a time.  The parser's
+shared identities (one per raw email) and the alias resolver's memo (one
+per raw name and email) are bounded by the distinct raw identities, not
+by commits.  The one structure that grows with the commits is the set of
+commit ids that `snapshot.iter_snapshots` keeps to catch overlapping
+logs.
 """
 
 from __future__ import annotations
@@ -104,7 +110,13 @@ class ReleaseTag(NamedTuple):
 AliasMap = Mapping[tuple[str, str], DeveloperId]
 
 _KIND_BY_CODE = {k.value: k for k in ChangeKind}
+_PLAIN_KIND = {code: kind for code, kind in _KIND_BY_CODE.items()
+               if kind is not ChangeKind.RENAME}
 _MISSING = object()
+# json.loads' own scanner: one call decodes a line that is one JSON object
+_scan_once = json.JSONDecoder().scan_once
+# builds a named tuple as its class call does, without the Python-level __new__
+_new = tuple.__new__
 
 
 def _is_plain(path: str) -> bool:
@@ -157,6 +169,12 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
                      ) -> Iterator[CommitRecord]:
     """Parse an NDJSON commit log into CommitRecords, in stream order.
 
+    A line that is one JSON object, followed by nothing or by a newline,
+    is decoded by one call into json's scanner.  Every other non-blank
+    line goes through `json.loads`, whose message a `LogParseError`
+    carries: a line padded with whitespace or a byte-order mark, one with
+    data after its object, one that is not an object, and malformed JSON.
+
     Blank lines are skipped.  Records with an empty change list (merge
     and empty commits) are yielded too, so that they can close a release.
     Decreasing timestamps are tolerated (git histories contain clock
@@ -174,16 +192,26 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
                 raise LogParseError(f"invalid UTF-8: {exc}", line_no) from exc
         else:
             line = raw
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+        obj = None
+        if line[:1] == "{":
+            try:
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                pass
+            else:
+                if end != len(line) and line[end:] != "\n":
+                    obj = None  # more than a newline follows: json.loads decides
+        if obj is None:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LogParseError(f"invalid JSON: {exc.msg}", line_no) from exc
         if not isinstance(obj, dict):
             raise LogSchemaError("record must be a JSON object", line_no, "record")
 
-        # json.loads builds exact types, so a type() test is isinstance that
+        # json builds exact types, so a type() test is isinstance that
         # keeps bool out of int; fields are checked in order, first fault raised
         get = obj.get
         commit_id = get("id", _MISSING)
@@ -213,11 +241,21 @@ def parse_commit_log(stream: Union[IO[bytes], IO[str], Iterable[bytes], Iterable
             skew_warned = True
         last_ts = ts
 
-        changes = tuple([_parse_change(entry, line_no) for entry in ch])
+        changes = []
+        for entry in ch:
+            if type(entry) is list and len(entry) == 2:
+                code, path = entry
+                kind = _PLAIN_KIND.get(code) if type(code) is str else None
+                if kind is not None and type(path) is str and _is_plain(path):
+                    # a kind that is not RENAME and no old_path: the rule
+                    # FileChange.__new__ checks holds
+                    changes.append(_new(FileChange, (kind, path, None)))
+                    continue
+            changes.append(_parse_change(entry, line_no))
         author = authors.get(email)
         if author is None or author.name != name:
             author = authors[email] = DeveloperId(name, email)
-        yield CommitRecord(commit_id, author, ts, changes)
+        yield _new(CommitRecord, (commit_id, author, ts, tuple(changes)))
 
 
 def resolve_aliases(records: Iterable[CommitRecord], alias_map: AliasMap,
@@ -252,7 +290,7 @@ def resolve_aliases(records: Iterable[CommitRecord], alias_map: AliasMap,
                     "they count as one developer", canonical.email, known,
                     canonical.name)
         yield record if canonical is raw else \
-            CommitRecord(record.commit_id, canonical, record.timestamp, record.changes)
+            _new(CommitRecord, (record.commit_id, canonical, record.timestamp, record.changes))
 
 
 def apply_path_filters(records: Iterable[CommitRecord],
@@ -269,13 +307,16 @@ def apply_path_filters(records: Iterable[CommitRecord],
         return
     match = PathMatcher(exclusion_rules).match
     for record in records:
+        for _, path, old_path in record.changes:
+            if match(path) or (old_path is not None and match(old_path)):
+                break
+        else:
+            yield record
+            continue
         kept = tuple([ch for ch in record.changes
                       if not (match(ch.path)
                               or (ch.old_path is not None and match(ch.old_path)))])
-        if len(kept) == len(record.changes):
-            yield record
-        else:
-            yield CommitRecord(record.commit_id, record.author, record.timestamp, kept)
+        yield _new(CommitRecord, (record.commit_id, record.author, record.timestamp, kept))
 
 
 _ALIAS_LINE = re.compile(

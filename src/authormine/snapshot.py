@@ -32,6 +32,8 @@ from .errors import AuthormineError, BoundaryNotFoundError, ConfigError
 from .ingest import ChangeKind, CommitRecord, ReleaseTag
 
 logger = logging.getLogger(__name__)
+# an enum member read off its class costs a descriptor call; a global does not
+_ADD, _MODIFY, _DELETE = ChangeKind.ADD, ChangeKind.MODIFY, ChangeKind.DELETE
 
 
 class FileCounters(NamedTuple):
@@ -59,95 +61,94 @@ class ReleaseSnapshot(NamedTuple):
 
 
 class _FileState:
-    __slots__ = ("creator", "total", "deliveries", "counters")
+    __slots__ = ("creator", "total", "deliveries", "counters", "serial")
 
     def __init__(self, creator: str):
         self.creator = creator
         self.total = 0
         self.deliveries: dict[str, int] = {}
         self.counters: FileCounters | None = None  # as last frozen; None once delivered
+        self.serial = 0  # of the last commit that delivered to this file
 
 
 class _Accumulator:
     def __init__(self, follow_renames: bool):
         self.follow_renames = follow_renames
         self.live: dict[str, _FileState] = {}  # the one per-file table
+        self.serial = 0  # of the commit being fed; the first is 1
 
-    def _deliver(self, state: _FileState, dev: str, delivered: set[_FileState]) -> None:
-        # at most one delivery per (commit, file); states hash by identity
-        if state in delivered:
+    def _deliver(self, state: _FileState, dev: str) -> None:
+        # at most one delivery per (commit, file): a commit that names a
+        # file twice (an add then a modify, a rename then a modify of the
+        # new path) finds its own serial on the state the second time
+        if state.serial == self.serial:
             return
-        delivered.add(state)
+        state.serial = self.serial
         state.total += 1
         state.deliveries[dev] = state.deliveries.get(dev, 0) + 1
         state.counters = None
 
-    def _create(self, path: str, dev: str, delivered: set[_FileState]) -> None:
+    def _create(self, path: str, dev: str) -> None:
         state = _FileState(creator=dev)
         self.live[path] = state
-        self._deliver(state, dev, delivered)
+        self._deliver(state, dev)
 
-    def _add(self, commit_id: str, path: str, dev: str, delivered: set[_FileState]) -> None:
+    def _add(self, commit_id: str, path: str, dev: str) -> None:
         state = self.live.get(path)
         if state is not None:
             logger.warning("commit %s adds already-live path %s; treating as a change",
                            commit_id, path)
-            self._deliver(state, dev, delivered)
+            self._deliver(state, dev)
         else:
-            self._create(path, dev, delivered)
+            self._create(path, dev)
 
-    def _modify(self, commit_id: str, path: str, dev: str,
-                delivered: set[_FileState]) -> None:
-        state = self.live.get(path)
-        if state is not None:
-            self._deliver(state, dev, delivered)
-        else:
-            logger.warning("commit %s changes unknown path %s; treating as an "
-                           "implicit creation (truncated history?)", commit_id, path)
-            self._create(path, dev, delivered)
-
-    def _delete(self, commit_id: str, path: str, dev: str,
-                delivered: set[_FileState]) -> None:
+    def _delete(self, commit_id: str, path: str, dev: str) -> None:
         state = self.live.pop(path, None)
         if state is not None:
-            self._deliver(state, dev, delivered)
+            self._deliver(state, dev)
         else:
             logger.warning("commit %s deletes unknown path %s; treating as an "
                            "implicit creation (truncated history?)", commit_id, path)
 
-    def _rename(self, commit_id: str, new_path: str, old_path: str,
-                dev: str, delivered: set[_FileState]) -> None:
+    def _rename(self, commit_id: str, new_path: str, old_path: str, dev: str) -> None:
         if not self.follow_renames:
-            self._delete(commit_id, old_path, dev, delivered)
-            self._add(commit_id, new_path, dev, delivered)
+            self._delete(commit_id, old_path, dev)
+            self._add(commit_id, new_path, dev)
             return
         state = self.live.pop(old_path, None)
         if state is None:
             logger.warning("commit %s renames unknown path %s; treating as an "
                            "implicit creation at %s", commit_id, old_path, new_path)
-            self._add(commit_id, new_path, dev, delivered)
+            self._add(commit_id, new_path, dev)
             return
         if self.live.get(new_path, state) is not state:
             logger.warning("commit %s renames %s onto live path %s; the previous "
                            "file becomes dead", commit_id, old_path, new_path)
         self.live[new_path] = state
-        self._deliver(state, dev, delivered)
+        self._deliver(state, dev)
 
     def feed(self, record: CommitRecord) -> None:
         if not record.changes:  # empty, merge or fully excluded; only the id matters
             return
+        self.serial += 1
         commit_id = record.commit_id
         dev = record.author.email
-        delivered: set[_FileState] = set()
+        live = self.live
         for kind, path, old_path in record.changes:
-            if kind is ChangeKind.ADD:
-                self._add(commit_id, path, dev, delivered)
-            elif kind is ChangeKind.MODIFY:
-                self._modify(commit_id, path, dev, delivered)
-            elif kind is ChangeKind.DELETE:
-                self._delete(commit_id, path, dev, delivered)
+            if kind is _MODIFY:
+                state = live.get(path)
+                if state is not None:
+                    self._deliver(state, dev)
+                else:
+                    logger.warning("commit %s changes unknown path %s; treating as an "
+                                   "implicit creation (truncated history?)", commit_id, path)
+                    self._create(path, dev)
+            elif kind is _ADD:
+                self._add(commit_id, path, dev)
+            elif kind is _DELETE:
+                self._delete(commit_id, path, dev)
             else:
-                self._rename(commit_id, path, old_path, dev, delivered)
+                self._rename(commit_id, path, old_path, dev)
 
     def freeze(self, release: ReleaseTag) -> ReleaseSnapshot:
         """Freeze the files delivered since the last release; the rest keep

@@ -90,10 +90,16 @@ def reference_parse(lines):
 
 
 def plain_parse(lines):
-    """`parse_commit_log`'s records in `reference_parse`'s form."""
+    """`parse_commit_log`'s records in `reference_parse`'s form.  Each
+    change must be a `FileChange` equal to the one its checking
+    constructor builds, which the parser bypasses."""
+    records = list(parse_commit_log(lines))
+    for r in records:
+        for c in r.changes:
+            assert type(c) is FileChange and c == FileChange(c.kind, c.path, c.old_path)
     return [(r.commit_id, r.author.name, r.author.email, r.timestamp,
              [(c.kind.value, c.path, c.old_path) for c in r.changes])
-            for r in parse_commit_log(lines)]
+            for r in records]
 
 
 def outcome(parser, lines):
@@ -270,6 +276,24 @@ class TestParseCommitLog:
         for entry in (["M", path], ["R", path, "a"], ["R", "a", path]):
             lines = [json.dumps({"id": "a", "an": "A", "ae": "a@x", "ts": 1, "ch": [entry]})]
             assert outcome(plain_parse, lines) == outcome(reference_parse, lines)
+
+    @pytest.mark.parametrize("dump", [
+        lambda obj: json.dumps(obj, separators=(",", ":")),  # as gen_history.py writes
+        lambda obj: json.dumps(obj, ensure_ascii=False),  # as export_log.sh writes
+    ], ids=["compact", "export"])
+    def test_well_formed_line_skips_json_loads(self, monkeypatch, dump):
+        # a scanner path that fell back on every line would keep every output
+        # and lose its gain; json.loads is for the lines the scanner leaves
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called on a well-formed line")
+
+        monkeypatch.setattr("authormine.ingest.json.loads", refuse)
+        obj = {"id": "a1", "an": "Åda", "ae": "ada@x.org", "ts": 100,
+               "ch": [["A", "f.c"], ["M", "g.c"], ["R", "h.c", "f.c"]]}
+        line = dump(obj) + "\n"
+        for stream in ([line], [line.encode("utf-8")]):
+            assert plain_parse(stream) == [("a1", "Åda", "ada@x.org", 100, [
+                ("A", "f.c", None), ("M", "g.c", None), ("R", "h.c", "f.c")])]
 
     def test_one_identity_object_per_raw_identity(self):
         (first, second, other) = parse("\n".join(
@@ -526,6 +550,35 @@ class TestSnapshotAt:
         snap = snapshot_at(recs, ReleaseTag("r", "c1"))
         for path in ("a", "b"):
             assert snap.files[path].deliveries[dev(1)] == 1
+
+    @pytest.mark.parametrize("follow", [True, False], ids=["follow", "nofollow"])
+    @pytest.mark.parametrize("before,changes", [
+        ([("A", "x")], [("A", "a"), ("M", "a")]),
+        ([("A", "a")], [("M", "a"), ("M", "a")]),
+        ([("A", "a")], [("R", "b", "a"), ("M", "b")]),
+        ([("A", "a")], [("M", "a"), ("R", "b", "a")]),
+        ([("A", "a")], [("D", "a"), ("A", "a")]),
+    ], ids=["add-modify", "modify-modify", "rename-modify", "modify-rename",
+            "delete-add"])
+    def test_commit_naming_one_file_twice(self, follow, before, changes):
+        # c3 repeats the changes, so each file meets a second commit of dev(2)
+        recs = [make_record("c1", dev(1), 1, before),
+                make_record("c2", dev(2), 2, changes),
+                make_record("c3", dev(2), 3, changes)]
+        releases = [ReleaseTag("r2", "c2"), ReleaseTag("r3", "c3")]
+        oracle_records = oracles.from_package_records(recs)
+        for snap in iter_snapshots(recs, releases, follow):
+            live, incs, _ = oracles.replay(oracle_records, snap.release.boundary, follow)
+            expected = {}
+            for path, idx in live.items():
+                touches = incs[idx]["touches"]
+                commits = {}
+                for cid, (_, email) in touches:
+                    commits.setdefault(email, set()).add(cid)
+                expected[path] = (len({cid for cid, _ in touches}),
+                                  {email: len(cids) for email, cids in commits.items()})
+            assert {path: (fc.total_commits, fc.deliveries)
+                    for path, fc in snap.files.items()} == expected
 
     def test_boundary_mid_stream(self):
         recs = [
