@@ -159,16 +159,9 @@ def cmd_analyze(config: RunConfig) -> int:
     One series state carries each release's results over to the next, so a
     release scores, classifies, counts and formats only the files that
     changed.  Each release is streamed to the CSVs, and under --json to
-    their mirrors, one file's rows at a time.
-    Each written release is frozen out of the cyclic collector's scans, whose
-    full collections never free anything here; reference counting still does.
-    A caller that has frozen objects itself keeps them frozen, and then the
-    run freezes nothing.
+    their mirrors, one file's rows at a time in path order.
     """
     config.validate()
-    full_collections = gc.get_stats()[2]["collections"]
-    # gc.unfreeze() would also thaw what the caller froze
-    freeze = gc.get_freeze_count() == 0
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _sweep_stages(out_dir)
@@ -198,8 +191,6 @@ def cmd_analyze(config: RunConfig) -> int:
                                                       mirror[1])
                     logger.info("release %s done: %d of %d live files rescored",
                                 release, state.rescored, len(snap.files))
-                    if freeze:
-                        gc.freeze()
             for fh, opener in mirrors:
                 end_json_mirror(fh, opener)
 
@@ -216,11 +207,7 @@ def cmd_analyze(config: RunConfig) -> int:
                 (out_dir / f"{name}.json").unlink(missing_ok=True)
         os.replace(stage / "manifest.json", out_dir / "manifest.json")
     finally:
-        if freeze:
-            gc.unfreeze()
         shutil.rmtree(stage, ignore_errors=True)
-    logger.info("analyze done: %d full garbage collections",
-                gc.get_stats()[2]["collections"] - full_collections)
     return EXIT_OK
 
 
@@ -398,11 +385,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    """Run one command with the cyclic collector off and restore the caller's
+    collector state on the way out; reference counting frees all that a run
+    drops but a few hundred cyclic objects of its start-up."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if args.command == "export-log-helper":
             return cmd_export_log_helper()
@@ -424,6 +416,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except (AuthormineError, ValueError, OSError) as exc:
         print(f"authormine: error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -71,6 +71,10 @@ class ChangeKind(Enum):
     RENAME = "R"
 
 
+# an enum member read off its class costs a descriptor call; a global does not
+_RENAME = ChangeKind.RENAME
+
+
 class _FileChangeFields(NamedTuple):
     kind: ChangeKind
     path: str
@@ -83,7 +87,7 @@ class FileChange(_FileChangeFields):
     __slots__ = ()
 
     def __new__(cls, kind: ChangeKind, path: str, old_path: str | None = None):
-        if (kind is ChangeKind.RENAME) != (old_path is not None):
+        if (kind is _RENAME) != (old_path is not None):
             raise ValueError("old_path must be present exactly for renames")
         return super().__new__(cls, kind, path, old_path)
 
@@ -111,7 +115,7 @@ AliasMap = Mapping[tuple[str, str], DeveloperId]
 
 _KIND_BY_CODE = {k.value: k for k in ChangeKind}
 _PLAIN_KIND = {code: kind for code, kind in _KIND_BY_CODE.items()
-               if kind is not ChangeKind.RENAME}
+               if kind is not _RENAME}
 _MISSING = object()
 # json.loads' own scanner: one call decodes a line that is one JSON object
 _scan_once = json.JSONDecoder().scan_once
@@ -155,7 +159,7 @@ def _parse_change(entry: object, line_no: int) -> FileChange:
     kind = _KIND_BY_CODE.get(code) if isinstance(code, str) else None
     if kind is None:
         raise LogSchemaError(f"unknown change kind {code!r}", line_no, "ch")
-    if kind is ChangeKind.RENAME:
+    if kind is _RENAME:
         if len(entry) != 3:
             raise LogSchemaError("rename entry must be [\"R\", new, old]", line_no, "ch")
         return FileChange(kind, _normalize_path(entry[1], line_no),

@@ -256,7 +256,7 @@ def release_report(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[R
         tables[0].append(workload_row(name, scope, counts, n_files))
         tables[1].append(profiles_row(name, scope, counts, spread))
         tables[2].append(network_row(name, scope, scope_graph(state, scope)))
-    files = authorship_rows(state.authorship, state.paths)
+    files = authorship_rows(state.authorship, sorted(state.authorship))
     with_json = state.render.with_json
     return [files] + [[render_rows(header, [row[1:] for row in rows], with_json)]
                       for (_, header), rows in zip(REPORTS[1:], tables)]

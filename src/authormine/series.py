@@ -11,10 +11,10 @@ the release series):
 - `authorship`, the previous release's results by live path: the frozen
   counters object each file was scored from, its author set and, with a
   renderer, the text `render` gave it as it was scored: its authorship
-  rows without the release column;
-- `paths`, the live paths in sorted order, into which each release
-  merges its new paths, and `sizes`, the number of live files in each
-  scope;
+  rows without the release column.  The dict keeps one sorted run per
+  release, each release's new paths appended in path order, so sorting
+  its keys to write a release only merges runs;
+- `sizes`, the number of live files in each scope;
 - `labels`, the subsystem label of every live path, recorded when the
   path is born, so a path is classified once;
 - two sets of exact integer counts per scope, which `update` keeps
@@ -66,7 +66,6 @@ class SeriesState:
         self.render = render
         scopes = (None,) + rules.labels
         self.authorship: dict[str, FileAuthorship] = {}
-        self.paths: list[str] = []
         self.sizes: dict[str | None, int] = dict.fromkeys(scopes, 0)
         self.labels: dict[str, str] = {}
         self.author_counts: dict[str | None, dict[str, int]] = {
@@ -89,9 +88,9 @@ class SeriesState:
     def update(self, new: "dict[str, FileAuthorship]", dead: Collection[str],
                born: "dict[str | None, list[str]]") -> None:
         """Move the state to the next release in place: the results of `dead`
-        are dropped, those of `new` replace or join the state's, and `born`
-        is the scope partition of the paths of `new` new to the state, each
-        in `labels`."""
+        are dropped, those of `new` replace or join the state's, and `born`,
+        the scope partition of the paths of `new` new to the state, each in
+        `labels`, gives only the scope sizes."""
         authorship, labels, sizes = self.authorship, self.labels, self.sizes
         for scope, paths in born.items():
             sizes[scope] += len(paths)
@@ -108,12 +107,6 @@ class SeriesState:
                 self._count(path, old, -1)
                 self._count(path, fa, 1)
             authorship[path] = fa
-        if dead:
-            gone = set(dead)
-            self.paths = [path for path in self.paths if path not in gone]
-        if born[None]:
-            self.paths += born[None]
-            self.paths.sort()  # two sorted runs, which the sort merges in one pass
         self.rescored = len(new)
 
     def _count(self, path: str, fa: FileAuthorship, sign: int) -> None:

@@ -139,13 +139,13 @@ def workload_rows(snapshot: ReleaseSnapshot, state: "SeriesState | None" = None,
 def counted(snapshot: ReleaseSnapshot, rules=None) -> tuple[SeriesState, dict]:
     """A series state brought from empty to one snapshot, whose counts are
     then that snapshot's alone, and the snapshot's scope partition, whose
-    sizes and sorted paths the state holds."""
+    sizes and live paths the state holds."""
     rules = rules or default_rules()
     state = SeriesState(rules, DoaThresholds())
     advance(state, snapshot)
     partition = scope_partition(snapshot.files, rules)
     assert state.sizes == {scope: len(paths) for scope, paths in partition.items()}
-    assert state.paths == partition[None]
+    assert sorted(state.authorship) == partition[None]
     return state, partition
 
 

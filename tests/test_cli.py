@@ -6,7 +6,6 @@ import io
 import json
 import logging
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -186,35 +185,50 @@ class TestAnalyze:
         with caplog.at_level(logging.INFO, logger="authormine.cli"):
             assert main(["-v", "analyze", *base_args(), "-o", str(tmp_path)]) == 0
         logged = [r.getMessage() for r in caplog.records if r.name == "authormine.cli"]
-        assert logged[:-1] == expected
+        assert logged == expected
         assert 0 < int(expected[-1].split()[3]) < len(current)
 
-    def test_verbose_counts_full_collections(self, tmp_path, caplog, capsys):
-        with caplog.at_level(logging.INFO, logger="authormine.cli"):
-            assert main(["-v", "analyze", *base_args(), "-o", str(tmp_path)]) == 0
-        last = [r.getMessage() for r in caplog.records if r.name == "authormine.cli"][-1]
-        assert re.fullmatch(r"analyze done: \d+ full garbage collections", last)
-        assert capsys.readouterr().out == ""
-        assert "collections" not in (tmp_path / "manifest.json").read_text(encoding="utf-8")
-
-    @pytest.mark.parametrize("releases,code,freezes", [
-        ("v0.1 c015\nv0.2 c036\nv0.3 c058\n", 0, 3),
-        ("v0.1 c015\nv0.2 absent\n", 1, 1),
+    @pytest.mark.parametrize("releases,code", [
+        ("v0.1 c015\nv0.2 c036\nv0.3 c058\n", 0),
+        ("v0.1 c015\nv0.2 absent\n", 1),
     ], ids=["success", "failure"])
-    def test_collector_left_as_found(self, tmp_path, monkeypatch, releases, code, freezes):
-        # each written release is frozen out of the collector's scans, and a
-        # run that fails after one still unfreezes it
+    def test_collector_left_as_found(self, tmp_path, releases, code):
+        # a command runs with the collector off, so no collection of any
+        # generation runs during it; a caller gets the collector back as it
+        # was, enabled or not, whether the run succeeds or fails
         path = tmp_path / "releases.txt"
         path.write_text(releases, encoding="utf-8")
-        before = gc.get_freeze_count()
-        frozen = []
-        freeze = gc.freeze
-        monkeypatch.setattr(gc, "freeze",
-                            lambda: (freeze(), frozen.append(gc.get_freeze_count())))
-        assert main(["analyze", *base_args(), "--releases", str(path),
-                     "-o", str(tmp_path / "out")]) == code
-        assert len(frozen) == freezes and all(n > before for n in frozen)
-        assert gc.get_freeze_count() == before
+        args = ["analyze", *base_args(), "--releases", str(path), "-o", str(tmp_path / "out")]
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                gc.collect()  # so that no collection is due before the run
+                before = sum(stats["collections"] for stats in gc.get_stats())
+                assert main(args) == code
+                # read before anything allocates: a collection is due now
+                after = gc.get_stats()
+                assert gc.isenabled() is enabled
+            finally:
+                gc.enable()
+            assert sum(stats["collections"] for stats in after) == before
+
+    def test_cyclic_garbage_does_not_grow_with_releases(self, tmp_path):
+        # with the collector off for a run, only reference counting frees
+        # what it drops: what the collector finds afterwards must not grow
+        # from a run to the first release to a run to the last
+        path = tmp_path / "releases.txt"
+        found = []
+        for releases in ("v0.1 c015\n", "v0.1 c015\nv0.2 c036\nv0.3 c058\n"):
+            path.write_text(releases, encoding="utf-8")
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(["analyze", *base_args(), "--releases", str(path),
+                             "-o", str(tmp_path / "out")]) == 0
+                found.append(gc.collect())
+            finally:
+                gc.enable()
+        assert found[1] <= found[0]
 
     def test_caller_frozen_objects_stay_frozen(self, tmp_path):
         # an in-process caller that froze its own objects gets them back frozen

@@ -99,7 +99,6 @@ def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
         assert nonzero(state.author_counts) == nonzero(fresh.author_counts)
         assert nonzero(state.edge_weights) == nonzero(fresh.edge_weights)
         assert state.sizes == fresh.sizes
-        assert state.paths == sorted(scratch.files)
         # entries of files that died are gone
         assert set(state.labels) == set(state.authorship) == set(snap.files) \
             == set(scratch.files)
@@ -179,14 +178,14 @@ def test_born_and_dead_between_releases_leaves_no_trace():
     fresh, partition = counted(second)
     assert state.sizes == fresh.sizes == {scope: len(paths)
                                           for scope, paths in partition.items()}
-    assert state.paths == ["README", "drivers/c.c", "fs/b.c"]
+    assert sorted(state.authorship) == ["README", "drivers/c.c", "fs/b.c"]
     assert set(state.labels) == set(state.authorship) == set(second.files)
 
 
-def test_paths_stay_sorted_through_many_births_and_deaths():
+def test_rows_stay_in_path_order_through_many_births_and_deaths():
     # a hundred files, then seventy die and eighty are born between those
-    # left, then a few of each: the state's sorted paths take many changes
-    # at once, and few
+    # left, then a few of each: the state's results take many changes at
+    # once, and few, and each release is still written in path order
     first = [f"drivers/f{i:03d}.c" for i in range(0, 200, 2)]
     born = [f"drivers/f{i:03d}.c" for i in range(41, 200, 2)]
     records = [
@@ -196,11 +195,12 @@ def test_paths_stay_sorted_through_many_births_and_deaths():
                                                                        ("A", "net/z.c")]),
     ]
     releases = [ReleaseTag(f"r{k}", f"c{k}") for k in (1, 2, 3)]
-    state = SeriesState(RULES, THRESHOLDS)
+    state = rendering()
     for snap in iter_snapshots(records, releases):
-        assert workload_rows(snap, state) == workload_rows(snap)
+        report = release_report(snap, state)
+        assert report == release_report(snap, rendering())
+        assert [lines[0].split(",")[0] for lines, _ in report[0]] == sorted(snap.files)
         fresh, _ = counted(snap)
-        assert state.paths == sorted(snap.files)
         assert state.sizes == fresh.sizes
 
 
@@ -220,7 +220,7 @@ def test_report_needs_a_renderer():
     with pytest.raises(ValueError) as raised:
         release_report(first, state)
     assert str(raised.value) == "release_report needs a SeriesState made with a renderer"
-    assert state.authorship == {} and state.paths == []
+    assert state.authorship == {} and not any(state.sizes.values())
 
 
 def test_report_after_advance_alone_holds_unchanged_files():
