@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import gc
 import logging
 import os
@@ -342,7 +343,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    a parser is cyclic, so one built per call would stay as garbage while
+    the collector is off."""
     parser = argparse.ArgumentParser(
         prog="authormine",
         description="Mine commit logs for file authorship, workload and "
@@ -387,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     """Run one command with the cyclic collector off and restore the caller's
     collector state on the way out; reference counting frees all that a run
-    drops but a few hundred cyclic objects of its start-up."""
+    drops but a few cyclic objects of its start-up."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

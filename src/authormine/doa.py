@@ -19,6 +19,10 @@ or to all of them; a `series.SeriesState` keeps the results.  A file's
 scores take few distinct (FA, DL, AC) inputs, so `score_file` evaluates
 the formula through a bounded memo of them, which every command shares.
 A result keeps the file's author set and report text, not its scores.
+Most files have one of few author sets, so `score_file` hands out one
+shared `frozenset` per distinct set through a second bounded memo,
+emptied when full; files with equal author sets then hold one object.
+Threads may race on it: a race only yields an equal set not shared.
 A developer is their canonical email, as the accumulator keys them; the
 ingest identity type does not reach this module.  The model's
 coefficients are constants; its two floors are parameters, which the
@@ -63,6 +67,9 @@ def doa_absolute(fa: int, dl: int, ac: int) -> float:
 # as the floors apply to its result
 _doa_absolute = lru_cache(maxsize=1 << 14)(doa_absolute)
 
+AUTHOR_SETS_SIZE = 1 << 14  # the most distinct author sets `_author_sets` holds
+_author_sets: dict[frozenset[str], frozenset[str]] = {}
+
 
 class DevScore(NamedTuple):
     developer: str
@@ -91,7 +98,8 @@ def score_file(counters: FileCounters, thresholds: DoaThresholds = DEFAULT_THRES
 
     A developer's FA is 1 for the file's creator, DL their deliveries and
     AC the file's commits by others.  Returns one DevScore per developer,
-    ordered by email, and the set of developers passing both floors.
+    ordered by email, and the set of developers passing both floors,
+    shared with the files whose author set is equal.
     """
     if not counters.deliveries:
         raise ValueError("file has no commits")
@@ -116,7 +124,13 @@ def score_file(counters: FileCounters, thresholds: DoaThresholds = DEFAULT_THRES
             authors.append(dev)
         # as DevScore(...) builds it, without the Python-level __new__
         scores.append(tuple.__new__(DevScore, (dev, fa, dl, ac, score, norm, is_author)))
-    return tuple(scores), frozenset(authors)
+    found = frozenset(authors)
+    shared = _author_sets.get(found)
+    if shared is None:
+        if len(_author_sets) >= AUTHOR_SETS_SIZE:
+            _author_sets.clear()
+        shared = _author_sets[found] = found
+    return tuple(scores), shared
 
 
 def compute_authorship(snapshot: ReleaseSnapshot,

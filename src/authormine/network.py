@@ -11,6 +11,7 @@ None rather than a fake zero.  Vertices are authors' canonical emails.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Iterable, Mapping, NamedTuple
 
 Edge = tuple[str, str]
@@ -40,11 +41,12 @@ def build_graph(authors: Iterable[str],
     live files each co-author pair shares there, in sorted order.
 
     An empty scope yields an empty graph.  Solitary authors (degree 0)
-    are retained as vertices.
+    are retained as vertices, and all of them map to one shared empty
+    neighbour set: only a vertex with an edge has a set of its own.
     """
     verts = tuple(sorted(set(authors)))
     vert_set = set(verts)
-    adjacency: dict[str, set[str]] = {v: set() for v in verts}
+    adjacency: defaultdict[str, set[str]] = defaultdict(set)
     edge_weights: dict[Edge, int] = {}
     for (u, v), w in weights.items():
         if u == v:
@@ -56,8 +58,10 @@ def build_graph(authors: Iterable[str],
         adjacency[a].add(b)
         adjacency[b].add(a)
     edges = tuple(sorted(edge_weights))
+    solitary: frozenset[str] = frozenset()
     return CoauthorGraph(verts, edges, edge_weights,
-                         {v: frozenset(neigh) for v, neigh in adjacency.items()})
+                         {v: frozenset(adjacency[v]) if v in adjacency else solitary
+                          for v in verts})
 
 
 def mean_degree(graph: CoauthorGraph) -> float:

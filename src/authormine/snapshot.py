@@ -16,7 +16,11 @@ number of concurrent downstream analytics.  A snapshot shares the frozen
 counters of every file untouched since the previous release with that
 release's snapshot, so a file's counters object changes exactly when
 its counters or its life (creation, deletion, move) do.  A
-`SeriesState` finds a release's delta by that identity alone.
+`SeriesState` finds a release's delta by that identity alone.  The
+frozen counters do not copy the file's deliveries: they hold the
+accumulator's own dict, read-only, until the file's next delivery,
+which first gives the accumulator a copy to write (copy on write).  A
+file untouched since a release so holds one deliveries dict, not two.
 
 A developer is their canonical email, a plain `str`: the accumulator
 reads it once off each record's author, whose identity type goes no
@@ -38,7 +42,10 @@ _ADD, _MODIFY, _DELETE = ChangeKind.ADD, ChangeKind.MODIFY, ChangeKind.DELETE
 
 class FileCounters(NamedTuple):
     """Frozen per-file accumulation state: creator, commit total, deliveries,
-    each developer given by email; all the author rule reads."""
+    each developer given by email; all the author rule reads.
+
+    `deliveries` is read-only: it is shared with the accumulator until
+    the file's next delivery."""
 
     creator: str
     total_commits: int
@@ -85,8 +92,10 @@ class _Accumulator:
             return
         state.serial = self.serial
         state.total += 1
+        if state.counters is not None:  # the frozen counters hold this dict
+            state.deliveries = dict(state.deliveries)
+            state.counters = None
         state.deliveries[dev] = state.deliveries.get(dev, 0) + 1
-        state.counters = None
 
     def _create(self, path: str, dev: str) -> None:
         state = _FileState(creator=dev)
@@ -157,7 +166,7 @@ class _Accumulator:
         for path, state in self.live.items():
             if state.counters is None:
                 state.counters = FileCounters(state.creator, state.total,
-                                              dict(state.deliveries))
+                                              state.deliveries)
             files[path] = state.counters
         return ReleaseSnapshot(release, files)
 

@@ -230,6 +230,23 @@ class TestAnalyze:
                 gc.enable()
         assert found[1] <= found[0]
 
+    def test_second_call_leaves_no_parser_garbage(self, tmp_path):
+        # the parser is built once per process: a second call, with the
+        # collector off, leaves no argparse object for it to find
+        for _ in range(2):
+            gc.collect()
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                assert run_analyze(tmp_path / "out") == 0
+                gc.collect()
+                modules = {type(obj).__module__ for obj in gc.garbage}
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.enable()
+        assert "argparse" not in modules
+
     def test_caller_frozen_objects_stay_frozen(self, tmp_path):
         # an in-process caller that froze its own objects gets them back frozen
         gc.freeze()

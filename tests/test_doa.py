@@ -188,6 +188,21 @@ class TestKernelMemo:
             score_file(FileCounters(dev(1), dl, {dev(1): dl}))
         assert doa._doa_absolute.cache_info().currsize <= cap
 
+    def test_equal_author_sets_are_one_object(self):
+        # two files with equal author sets, one scored between them with
+        # another set: the second gets the first one's set object
+        _, first = score_file(FileCounters(dev(1), 3, {dev(1): 2, dev(2): 1}))
+        _, other = score_file(FileCounters(dev(2), 1, {dev(2): 1}))
+        _, second = score_file(FileCounters(dev(1), 1, {dev(1): 1}))
+        assert first == second == {dev(1)} != other
+        assert first is second
+
+    def test_author_set_memo_stays_within_its_cap(self):
+        cap = doa.AUTHOR_SETS_SIZE
+        for i in range(cap + 100):  # one sole author each: one distinct set each
+            score_file(FileCounters(dev(i), 1, {dev(i): 1}))
+        assert 0 < len(doa._author_sets) <= cap
+
 
 class TestAuthorshipMap:
     def test_every_file_has_a_full_score(self, fixture_records, fixture_releases):

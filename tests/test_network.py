@@ -64,6 +64,14 @@ class TestBuildGraph:
         assert snap_graph.n_vertices == 0
         assert snap_graph.n_edges == 0
 
+    def test_solitary_vertices_share_one_empty_set(self):
+        spec = three_author_history()
+        spec.update({f"f{i}.c": [dev(10 + i)] for i in range(3)})
+        graph = coauthored(spec)
+        solitary = [graph.adjacency[v] for v in graph.vertices if graph.degree(v) == 0]
+        assert len(solitary) == 3 and not solitary[0]
+        assert all(neighbours is solitary[0] for neighbours in solitary)
+
     def test_shared_files_weight_but_single_edge(self):
         spec = three_author_history()
         spec["other.c"] = [dev(1)] * 2 + [dev(2)] * 4 + [dev(3)] * 4

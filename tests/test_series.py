@@ -1,7 +1,9 @@
 """An incremental release series equals each release computed from an empty state."""
 
 import io
+import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,8 @@ from authormine import (DoaThresholds, ReleaseTag, SeriesState, default_rules, d
 from authormine.reports import (REPORTS, AuthorshipRenderer, advance, end_json_mirror,
                                 release_report, write_csv_text, write_json_mirror)
 import oracles
-from helpers import counted, dev, make_record, snapshot_at, workload_rows
+from helpers import (counted, dev, make_record, records_from_oracle, snapshot_at,
+                     workload_rows)
 
 RULES = default_rules()
 THRESHOLDS = DoaThresholds()
@@ -164,6 +167,29 @@ def test_untouched_files_keep_their_counters_object(rng, follow_renames):
         previous = snap
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_frozen_counters_stay_as_at_their_boundary(rng, follow_renames):
+    # a snapshot's counters share the accumulator's deliveries dict until the
+    # file's next delivery, which must copy it first: with every snapshot
+    # taken before any is read, each still holds its own boundary's counters
+    history = oracles.gen_history(rng)
+    records = records_from_oracle(history)
+    ends = sorted(rng.choices(range(len(records)), k=rng.randint(2, 5)))
+    releases = [ReleaseTag(f"r{k}", records[i].commit_id) for k, i in enumerate(ends)]
+    snapshots = list(iter_snapshots(records, releases, follow_renames))
+    for snap in snapshots:
+        live, incarnations, _ = oracles.replay(history, snap.release.boundary,
+                                               follow_renames)
+        assert snap.files.keys() == live.keys()
+        for path, idx in live.items():
+            touches = set(incarnations[idx]["touches"])
+            expected = (len({cid for cid, _ in touches}),
+                        Counter(email for _, (_, email) in touches))
+            counters = snap.files[path]
+            assert (counters.total_commits, counters.deliveries) == expected, path
+
+
 def test_born_and_dead_between_releases_leaves_no_trace():
     records = [
         make_record("c1", dev(1), 1, [("A", "drivers/a.c"), ("A", "fs/a.c"), ("A", "README")]),
@@ -301,6 +327,25 @@ def test_memory_of_a_reused_release_bounded_by_one_file():
         tracemalloc.stop()
     assert sink.size > 2 * 2**20
     assert peak < sink.size / 10, (peak, sink.size)
+
+
+def test_one_release_keeps_one_deliveries_dict_per_file():
+    # the frozen counters of a one-release query share the accumulator's
+    # deliveries dicts while both live, as they do while a query reads the
+    # snapshot: a file's state, counters, dict and table entries come to
+    # about two dicts' worth, and a second dict per file to three
+    n = 2000
+    records = [make_record("c1", dev(1), 1,
+                           [("A", f"drivers/d{i % 40}/f{i}.c") for i in range(n)])]
+    tracemalloc.start()
+    try:
+        snapshots = iter_snapshots(records, [ReleaseTag("r1", "c1")])
+        snap = next(snapshots)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(snap.files) == n
+    assert held < n * 2.5 * sys.getsizeof({dev(1): 1}), held / n
 
 
 def held_after_last_freeze(rounds, batch=250):
