@@ -251,9 +251,8 @@ def cmd_stats(config: RunConfig, release_name: "str | None") -> int:
     with _snapshot_stream(config, releases) as snapshots:
         for snap in snapshots:
             advance(state, snap)
-            rows.extend(workload_row(snap.release.name, scope, state.author_counts[scope],
-                                     n_files)
-                        for scope, n_files in state.sizes.items())
+            rows.extend(workload_row(snap.release.name, scope, state.author_counts(scope),
+                                     state.size(scope)) for scope in state.author_sets)
     write_csv(sys.stdout, WORKLOAD_HEADER, rows)
     return EXIT_OK
 
@@ -276,7 +275,7 @@ def cmd_network(config: RunConfig, release_name: "str | None",
     with _snapshot_stream(config, releases) as snapshots:
         for snap in snapshots:
             advance(state, snap)
-            graphs = {scope: scope_graph(state, scope) for scope in state.sizes}
+            graphs = {scope: scope_graph(state, scope) for scope in state.author_sets}
             rows.extend(network_row(snap.release.name, key, graph)
                         for key, graph in graphs.items())
     if edges_path or graph_path:  # --release is set, so `graphs` is that release's

@@ -3,8 +3,8 @@
 An author is a specialist when every live file they author lies in one
 subsystem, and a generalist otherwise.  An author's spread, the number
 of subsystems they author files in, is read off the per-scope author
-counts that a release series keeps current
-(`series.SeriesState.author_counts`).
+counts of a release series (`series.SeriesState.author_counts`), which
+`reports.release_report` reads once per release.
 """
 
 from __future__ import annotations

@@ -220,21 +220,21 @@ def advance(state: SeriesState, snapshot: ReleaseSnapshot) -> None:
 
     Past `SeriesState.delta`, only the delta is visited: each changed path
     is scored, given its text by the state's renderer if it has one, and
-    merged into the state's results, counted again if its author set
-    changed; each born path is classified, each dead one dropped.  A new
-    state computes the release from scratch.
+    merged into the state's results, its count moved to its new author set
+    if that changed; each born path is classified, each dead one dropped.
+    A new state computes the release from scratch.
     """
     changed, dead = state.delta(snapshot)
     new = compute_authorship(snapshot, state.thresholds, state.render, changed)
-    born = scope_partition([path for path in changed if path not in state.labels],
-                           state.rules, state.labels)
-    state.update(new, dead, born)
+    scope_partition([path for path in changed if path not in state.labels],
+                    state.rules, state.labels)
+    state.update(new, dead)
 
 
 def scope_graph(state: SeriesState, scope: "str | None") -> CoauthorGraph:
     """The co-authorship graph of one scope, None for All, at the release
     `state` last reached."""
-    return build_graph(state.author_counts[scope], state.edge_weights[scope])
+    return build_graph(state.author_counts(scope), state.edge_weights(scope))
 
 
 def release_report(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[RowText]]:
@@ -247,15 +247,16 @@ def release_report(snapshot: ReleaseSnapshot, state: SeriesState) -> list[list[R
         raise ValueError("release_report needs a SeriesState made with a renderer")
     advance(state, snapshot)
     name = snapshot.release.name
+    counts = {scope: state.author_counts(scope) for scope in state.author_sets}
     # the number of subsystems each author authors files in
     spread = Counter(chain.from_iterable(
-        counts for scope, counts in state.author_counts.items() if scope is not None))
+        authors for scope, authors in counts.items() if scope is not None))
     tables = ([], [], [])  # the workload, profiles and network rows
-    for scope, n_files in state.sizes.items():
-        counts = state.author_counts[scope]
-        tables[0].append(workload_row(name, scope, counts, n_files))
-        tables[1].append(profiles_row(name, scope, counts, spread))
-        tables[2].append(network_row(name, scope, scope_graph(state, scope)))
+    for scope, authors in counts.items():
+        graph = build_graph(authors, state.edge_weights(scope))
+        tables[0].append(workload_row(name, scope, authors, state.size(scope)))
+        tables[1].append(profiles_row(name, scope, authors, spread))
+        tables[2].append(network_row(name, scope, graph))
     files = authorship_rows(state.authorship, sorted(state.authorship))
     with_json = state.render.with_json
     return [files] + [[render_rows(header, [row[1:] for row in rows], with_json)]

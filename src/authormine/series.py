@@ -14,15 +14,16 @@ the release series):
   rows without the release column.  The dict keeps one sorted run per
   release, each release's new paths appended in path order, so sorting
   its keys to write a release only merges runs;
-- `sizes`, the number of live files in each scope;
 - `labels`, the subsystem label of every live path, recorded when the
   path is born, so a path is classified once;
-- two sets of exact integer counts per scope, which `update` keeps
-  current by subtracting the old author set of each dead path, and of
-  each path whose author set changed, and adding its new one: the
-  authored files of each author and the shared files of each co-author
-  pair.  The subsystems an author authors in are the label scopes that
-  count them.
+- `author_sets`, per scope, the number of live files there with each
+  author set.  `update` moves a dead path's count off its old set, and a
+  rescored path's from its old set to its new one.  A scope's `size`,
+  its `author_counts` (each author's authored files) and its
+  `edge_weights` (each co-author pair's shared files) are read off it
+  when a command asks, each distinct set's pairs formed once, so `stats`
+  forms no pair.  The subsystems an author authors in are the label
+  scopes that count them.
 
 A release step, `reports.advance`, scores, classifies and counts what
 changed since the state's last snapshot, its `delta`: the live paths
@@ -41,7 +42,7 @@ unrelated history it stays correct and reuses nothing.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Collection, Hashable, Iterable
+from typing import TYPE_CHECKING, Collection
 
 from .doa import DoaThresholds, FileAuthorship
 from .network import Edge
@@ -64,14 +65,10 @@ class SeriesState:
         self.rules = rules
         self.thresholds = thresholds
         self.render = render
-        scopes = (None,) + rules.labels
         self.authorship: dict[str, FileAuthorship] = {}
-        self.sizes: dict[str | None, int] = dict.fromkeys(scopes, 0)
         self.labels: dict[str, str] = {}
-        self.author_counts: dict[str | None, dict[str, int]] = {
-            scope: {} for scope in scopes}
-        self.edge_weights: dict[str | None, dict[Edge, int]] = {
-            scope: {} for scope in scopes}
+        self.author_sets: dict[str | None, dict[frozenset[str], int]] = {
+            scope: {} for scope in (None,) + rules.labels}
         self.rescored = 0  # files of the last update whose results are new
 
     def delta(self, snapshot: ReleaseSnapshot) -> "tuple[list[str], list[str]]":
@@ -85,45 +82,47 @@ class SeriesState:
                    if (fa := previous.get(path)) is None or fa.counters is not counters]
         return sorted(changed), [path for path in previous if path not in files]
 
-    def update(self, new: "dict[str, FileAuthorship]", dead: Collection[str],
-               born: "dict[str | None, list[str]]") -> None:
-        """Move the state to the next release in place: the results of `dead`
-        are dropped, those of `new` replace or join the state's, and `born`,
-        the scope partition of the paths of `new` new to the state, each in
-        `labels`, gives only the scope sizes."""
-        authorship, labels, sizes = self.authorship, self.labels, self.sizes
-        for scope, paths in born.items():
-            sizes[scope] += len(paths)
+    def update(self, new: "dict[str, FileAuthorship]", dead: Collection[str]) -> None:
+        """Move the state to the next release in place: drop the results of
+        `dead`, and merge those of `new`, each path's label already in `labels`."""
+        authorship, labels = self.authorship, self.labels
         for path in dead:
-            self._count(path, authorship.pop(path), -1)
-            label = labels.pop(path)
-            sizes[None] -= 1
-            sizes[label] -= 1
+            self._count(labels.pop(path), authorship.pop(path).authors, -1)
         for path, fa in new.items():
             old = authorship.get(path)
             if old is None:
-                self._count(path, fa, 1)
+                self._count(labels[path], fa.authors, 1)
             elif old.authors != fa.authors:
-                self._count(path, old, -1)
-                self._count(path, fa, 1)
+                self._count(labels[path], old.authors, -1)
+                self._count(labels[path], fa.authors, 1)
             authorship[path] = fa
         self.rescored = len(new)
 
-    def _count(self, path: str, fa: FileAuthorship, sign: int) -> None:
-        label = self.labels[path]
-        for scope in (None, label):
-            _add(self.author_counts[scope], fa.authors, sign)
-        if len(fa.authors) > 1:
-            pairs = tuple(combinations(sorted(fa.authors), 2))
-            for scope in (None, label):
-                _add(self.edge_weights[scope], pairs, sign)
+    def _count(self, label: str, authors: "frozenset[str]", sign: int) -> None:
+        """Add `sign` to the count of `authors` in All and `label`; a zero count goes."""
+        for sets in (self.author_sets[None], self.author_sets[label]):
+            n = sets.get(authors, 0) + sign
+            if n:
+                sets[authors] = n
+            else:
+                del sets[authors]
 
+    def size(self, scope: "str | None") -> int:
+        """The number of live files in one scope, None for All."""
+        return sum(self.author_sets[scope].values())
 
-def _add(counts: "dict[Hashable, int]", keys: Iterable[Hashable], sign: int) -> None:
-    """Add `sign` to the count of each key; a count that reaches zero is removed."""
-    for key in keys:
-        n = counts.get(key, 0) + sign
-        if n:
-            counts[key] = n
-        else:
-            del counts[key]
+    def author_counts(self, scope: "str | None") -> dict[str, int]:
+        """The number of live files each author authors in one scope."""
+        counts: dict[str, int] = {}
+        for authors, n in self.author_sets[scope].items():
+            for author in authors:
+                counts[author] = counts.get(author, 0) + n
+        return counts
+
+    def edge_weights(self, scope: "str | None") -> dict[Edge, int]:
+        """The number of live files each co-author pair, sorted, shares in one scope."""
+        weights: dict[Edge, int] = {}
+        for authors, n in self.author_sets[scope].items():
+            for pair in combinations(sorted(authors), 2):
+                weights[pair] = weights.get(pair, 0) + n
+        return weights

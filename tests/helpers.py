@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import fnmatch
 import json
+from collections import Counter
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -132,8 +134,26 @@ def workload_rows(snapshot: ReleaseSnapshot, state: "SeriesState | None" = None,
     one row per scope from its counts."""
     state = SeriesState(default_rules(), DoaThresholds()) if state is None else state
     advance(state, snapshot)
-    return [workload_row(snapshot.release.name, scope, state.author_counts[scope], n_files)
-            for scope, n_files in state.sizes.items()]
+    return [workload_row(snapshot.release.name, scope, state.author_counts(scope),
+                         state.size(scope)) for scope in state.author_sets]
+
+
+def counts_of(state: SeriesState) -> dict:
+    """Each scope's size, author counts and co-author pair counts as `state`
+    reads them off its author-set counts, which must hold no zero count and
+    must equal a recount of the state's results and labels."""
+    counts = {}
+    for scope, sets in state.author_sets.items():
+        assert 0 not in sets.values(), f"scope {scope} keeps a zero count"
+        sets_here = [fa.authors for path, fa in state.authorship.items()
+                     if scope is None or state.labels[path] == scope]
+        recount = (len(sets_here), dict(Counter(a for authors in sets_here for a in authors)),
+                   dict(Counter(pair for authors in sets_here
+                                for pair in combinations(sorted(authors), 2))))
+        counts[scope] = (state.size(scope), state.author_counts(scope),
+                         state.edge_weights(scope))
+        assert counts[scope] == recount, f"scope {scope} differs from a recount"
+    return counts
 
 
 def counted(snapshot: ReleaseSnapshot, rules=None) -> tuple[SeriesState, dict]:
@@ -144,7 +164,8 @@ def counted(snapshot: ReleaseSnapshot, rules=None) -> tuple[SeriesState, dict]:
     state = SeriesState(rules, DoaThresholds())
     advance(state, snapshot)
     partition = scope_partition(snapshot.files, rules)
-    assert state.sizes == {scope: len(paths) for scope, paths in partition.items()}
+    assert {scope: state.size(scope) for scope in state.author_sets} \
+        == {scope: len(paths) for scope, paths in partition.items()}
     assert sorted(state.authorship) == partition[None]
     return state, partition
 
@@ -154,9 +175,9 @@ def subsystem_table(state: SeriesState) -> "tuple[dict[str, dict[str, int]], dic
     state's per-scope author counts, and each author's spread: the number
     of subsystems they author files in."""
     table: dict[str, dict[str, int]] = {}
-    for scope, counts in state.author_counts.items():
+    for scope in state.author_sets:
         if scope is not None:
-            for author, n in counts.items():
+            for author, n in state.author_counts(scope).items():
                 table.setdefault(author, {})[scope] = n
     return table, {author: len(labels) for author, labels in table.items()}
 

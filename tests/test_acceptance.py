@@ -191,12 +191,12 @@ def test_criterion_7_profile_partition_property():
             for scope, paths in partition.items():
                 if not paths:
                     continue
-                result = profile_proportions(state.author_counts[scope], spread)
+                result = profile_proportions(state.author_counts(scope), spread)
                 assert result.specialists + result.generalists == result.n_authors
                 assert abs(result.specialist_pct
                            - 100.0 * result.specialists / result.n_authors) <= 1e-9
             merged_state, _ = counted(snap, merged)
-            merged_result = profile_proportions(merged_state.author_counts[None],
+            merged_result = profile_proportions(merged_state.author_counts(None),
                                                 subsystem_table(merged_state)[1])
             assert merged_result.specialist_pct == 100.0
             assert merged_result.generalists == 0

@@ -97,6 +97,17 @@ def test_one_change_detector():
     assert not hasattr(SeriesState(default_rules(), DoaThresholds()), "reached")
 
 
+def test_one_count_table_per_scope():
+    """A series state keeps one count table per scope, the number of live
+    files with each author set; scope sizes, author counts and co-author
+    pair counts are read off it when asked, not kept."""
+    state = SeriesState(default_rules(), DoaThresholds())
+    assert sorted(vars(state)) == ["author_sets", "authorship", "labels", "render",
+                                   "rescored", "rules", "thresholds"]
+    assert not hasattr(state, "sizes")
+    assert inspect.ismethod(state.author_counts) and inspect.ismethod(state.edge_weights)
+
+
 def test_cli_imports_no_array_library():
     """The package has no runtime dependency: loading the command line
     pulls in no numpy, whose import alone costs every command time and

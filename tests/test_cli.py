@@ -415,6 +415,28 @@ class TestStatsAndNetwork:
         assert len(lines) == 1 + 7  # header + seven scopes
         assert all(line.startswith("v0.2,") for line in lines[1:])
 
+    def test_stats_forms_no_coauthor_pair(self, tmp_path, capsys, monkeypatch):
+        # `stats` prints no graph, so it forms no co-author pair: with pair
+        # forming broken it still prints the golden rows, also for v0.3,
+        # whose All scope has 4 edges, which `network` still exports
+        golden = (GOLDEN_DIR / "workload.csv").read_text().splitlines(keepends=True)
+
+        def no_pairs(*args):
+            raise AssertionError("stats formed co-author pairs")
+        monkeypatch.setattr("authormine.series.combinations", no_pairs)
+        assert main(["stats", *base_args()]) == 0
+        assert capsys.readouterr().out == "".join(golden)
+        assert main(["stats", *base_args(), "--release", "v0.3"]) == 0
+        assert capsys.readouterr().out == "".join(
+            golden[:1] + [line for line in golden if line.startswith("v0.3,")])
+        monkeypatch.undo()
+        edges = tmp_path / "edges.csv"
+        assert main(["network", *base_args(), "--release", "v0.3",
+                     "--edges", str(edges)]) == 0
+        capsys.readouterr()
+        lines = edges.read_text().splitlines()
+        assert len(lines) == 1 + 4 and "alice@example.org,eve@example.org,2" in lines
+
     def test_network_stdout_matches_golden(self, capsys):
         assert main(["network", *base_args()]) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / "network.csv").read_text()

@@ -218,7 +218,7 @@ class TestAuthorshipMap:
     def test_authored_files_index(self, fixture_records, fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])
         authorship = compute_authorship(snap)
-        counts = counted(snap)[0].author_counts[None]
+        counts = counted(snap)[0].author_counts(None)
         assert set(counts) == {d for fa in authorship.values() for d in fa.authors}
         for developer, n in counts.items():
             assert n == sum(developer in fa.authors for fa in authorship.values())

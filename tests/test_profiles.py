@@ -27,7 +27,7 @@ def profiles(snap, rules=None):
     subsystems, spread = subsystem_table(state)
 
     def breakdown(scope):
-        return profile_proportions(state.author_counts[scope], spread)
+        return profile_proportions(state.author_counts(scope), spread)
     return subsystems, breakdown
 
 

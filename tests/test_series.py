@@ -13,8 +13,8 @@ from authormine import (DoaThresholds, ReleaseTag, SeriesState, default_rules, d
 from authormine.reports import (REPORTS, AuthorshipRenderer, advance, end_json_mirror,
                                 release_report, write_csv_text, write_json_mirror)
 import oracles
-from helpers import (counted, dev, make_record, records_from_oracle, snapshot_at,
-                     workload_rows)
+from helpers import (counted, counts_of, dev, make_record, records_from_oracle,
+                     snapshot_at, workload_rows)
 
 RULES = default_rules()
 THRESHOLDS = DoaThresholds()
@@ -80,11 +80,6 @@ def written(snap, state=None):
     return out
 
 
-def nonzero(counts):
-    """A count table without the scopes or authors that hold nothing."""
-    return {key: value for key, value in counts.items() if value}
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
@@ -98,10 +93,9 @@ def test_series_rows_equal_rows_from_empty_state(rng, follow_renames):
         fed = scratch if k % 3 == 2 else snap
         assert written(fed, state) == written(scratch)
 
-        fresh, _ = counted(scratch)
-        assert nonzero(state.author_counts) == nonzero(fresh.author_counts)
-        assert nonzero(state.edge_weights) == nonzero(fresh.edge_weights)
-        assert state.sizes == fresh.sizes
+        # each scope's sizes, author counts and pair counts equal a recount
+        # of the results, and those of a state brought there from empty
+        assert counts_of(state) == counts_of(counted(scratch)[0])
         # entries of files that died are gone
         assert set(state.labels) == set(state.authorship) == set(snap.files) \
             == set(scratch.files)
@@ -127,6 +121,7 @@ def test_out_of_sequence_snapshots_equal_rows_from_empty_state(rng, follow_renam
                 assert workload_rows(snap, state) == workload_rows(snap)
             else:
                 assert written(snap, state) == written(snap)
+            assert counts_of(state) == counts_of(counted(snap)[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,8 +197,9 @@ def test_born_and_dead_between_releases_leaves_no_trace():
     for snap in (first, second):
         assert workload_rows(snap, state) == workload_rows(snap)
     fresh, partition = counted(second)
-    assert state.sizes == fresh.sizes == {scope: len(paths)
-                                          for scope, paths in partition.items()}
+    assert counts_of(state) == counts_of(fresh)
+    assert {scope: counts[0] for scope, counts in counts_of(state).items()} \
+        == {scope: len(paths) for scope, paths in partition.items()}
     assert sorted(state.authorship) == ["README", "drivers/c.c", "fs/b.c"]
     assert set(state.labels) == set(state.authorship) == set(second.files)
 
@@ -226,8 +222,7 @@ def test_rows_stay_in_path_order_through_many_births_and_deaths():
         report = release_report(snap, state)
         assert report == release_report(snap, rendering())
         assert [lines[0].split(",")[0] for lines, _ in report[0]] == sorted(snap.files)
-        fresh, _ = counted(snap)
-        assert state.sizes == fresh.sizes
+        assert counts_of(state) == counts_of(counted(snap)[0])
 
 
 def three_files_then_one_changed():
@@ -246,7 +241,8 @@ def test_report_needs_a_renderer():
     with pytest.raises(ValueError) as raised:
         release_report(first, state)
     assert str(raised.value) == "release_report needs a SeriesState made with a renderer"
-    assert state.authorship == {} and not any(state.sizes.values())
+    assert state.authorship == {} and not any(state.author_sets.values())
+    assert counts_of(state) == counts_of(SeriesState(RULES, THRESHOLDS))
 
 
 def test_report_after_advance_alone_holds_unchanged_files():

@@ -36,7 +36,7 @@ def scope_counts(commit_spec, scope=None):
     the scope's live file count."""
     snap, _ = authorship_for(commit_spec)
     state, partition = counted(snap)
-    return state.author_counts[scope], len(partition[scope])
+    return state.author_counts(scope), len(partition[scope])
 
 
 class TestFilesPerAuthor:
@@ -268,7 +268,7 @@ class TestFixtureWorkload:
     def test_final_release_sample(self, fixture_records, fixture_releases):
         snap = snapshot_at(fixture_records, fixture_releases[-1])
         state, _ = counted(snap)
-        sample = files_per_author(state.author_counts[None])
+        sample = files_per_author(state.author_counts(None))
         assert sample == [1, 2, 3, 4, 5, 6]
         assert gini(sample) == pytest.approx(oracles.gini_pairwise(sample), abs=1e-12)
 
